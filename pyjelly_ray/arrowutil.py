@@ -42,20 +42,11 @@ def rank_key(table: pa.Table, columns: list[str]) -> pa.Array:
 
 def rank_keys(table: pa.Table, columns: list[str]) -> list[pa.Array]:
     """One int32 rank column PER key column; sorting by them in order equals
-    the lexicographic tuple sort of the originals.
-
-    Used when key columns arrive dictionary-encoded from the exchange
-    (keep-dict mode): each column's (already small) dictionary is ranked
-    directly — no join, no re-encode, no string materialization.  For flat
-    string inputs :func:`rank_key`'s single joined rank is cheaper (one
-    sort column); the orders are identical (``\\x00``-joined comparison ≡
-    tuple comparison ≡ hierarchical rank comparison).
-    """
+    the lexicographic tuple sort of the originals (``\\x00``-joined
+    comparison ≡ tuple comparison ≡ hierarchical rank comparison)."""
     out = []
     for c in columns:
-        col = table.column(c).combine_chunks()
-        if not pa.types.is_dictionary(col.type):
-            col = pc.dictionary_encode(col)
+        col = pc.dictionary_encode(table.column(c).combine_chunks())
         out.append(_rank_of_dict(col))
     return out
 
@@ -66,16 +57,14 @@ def sort_by_ranked(
     """``table.sort_by(str_columns + int_columns)`` with int-only comparisons.
 
     ``str_columns`` are collapsed into rank columns (most-significant
-    first); ``int_columns`` follow in order.  Dictionary-encoded key
-    columns rank per column without re-encoding (:func:`rank_keys`).
+    first); ``int_columns`` follow in order.
     """
     sort_cols: list[tuple[str, str]] = []
     aux: list[str] = []
     if str_columns:
-        # per-column ranks always: even for flat strings they beat the
-        # joined-string rank 2.6× (no join materialization; each column's
-        # dictionary is much smaller than the pair dictionary), and they
-        # accept dictionary-encoded input as-is
+        # per-column ranks beat the joined-string rank 2.6× (no join
+        # materialization; each column's dictionary is much smaller than
+        # the pair dictionary)
         for i, r in enumerate(rank_keys(table, str_columns)):
             name = f"_rank{i}"
             table = table.append_column(name, r)

@@ -1,7 +1,7 @@
 """CLI entry points (``ray job submit -- python -m pyjelly_ray.cli ...``).
 
 Commands:
-  build-kg   --corpus PATH --out DIR [--shards N] [--no-dedup] [--prune]
+  build-kg   --corpus PATH --out DIR [--shards N] [--prune]
   validate   --out DIR [--decode]
   roundtrip  --jelly PATH            (decode + re-encode + compare count)
   gen-corpus --out PATH --files N [--seed S]
@@ -29,7 +29,6 @@ def main(argv=None) -> int:
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--shards", type=int, default=16)
-    b.add_argument("--no-dedup", action="store_true")
     b.add_argument("--prune", action="store_true",
                    help="after an incremental rebuild, delete shards the new corpus no longer populates")
     b.add_argument("--incremental", action="store_true",
@@ -116,9 +115,7 @@ def main(argv=None) -> int:
             return 0
         from .pipelines.kg import build_kg
 
-        manifests = build_kg(
-            args.corpus, args.out, n_shards=args.shards, dedup=not args.no_dedup
-        ).take_all()
+        manifests = build_kg(args.corpus, args.out, n_shards=args.shards).take_all()
         pruned = []
         if args.prune:
             from .state.manifest import prune_orphans

@@ -3,9 +3,8 @@
 The reference ships mypyc-compiled wheels for its 8 hot modules
 (/root/reference/pyproject.toml:25-43, docs/overview.md:57); this repo's
 equivalent is one ~400-line C translation of the sequential per-row fold,
-built on first use with the host gcc into a content-addressed cache under
-``/tmp`` (atomic rename, so concurrent Ray workers race safely) and loaded
-via ctypes.  Everything stays optional: no compiler, a failed build, or a
+built on first use by :func:`pyjelly_ray._cbuild.build` and loaded via
+ctypes.  Everything stays optional: no compiler, a failed build, or a
 failed load ⇒ ``LIB is None`` and callers use the pure-Python fold — which
 remains the single source of semantics, pinned byte-identical by
 tests/test_encode_fast.py.
@@ -14,12 +13,11 @@ tests/test_encode_fast.py.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 
 import numpy as np
+
+from .._cbuild import build
 
 _SRC = os.path.join(os.path.dirname(__file__), "_cfold.c")
 
@@ -27,47 +25,8 @@ _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
-def _build() -> str | None:
-    try:
-        with open(_SRC, "rb") as f:
-            src = f.read()
-    except OSError:
-        return None
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    # build-once-ship-.so: a deployment can compile on ONE node and ship
-    # the content-addressed .so to gcc-less workers via GRAFT_CFOLD_SO_DIR
-    # (checked read-only, before any build attempt)
-    ship_dir = os.environ.get("GRAFT_CFOLD_SO_DIR")
-    if ship_dir:
-        shipped = os.path.join(ship_dir, f"cfold_{tag}.so")
-        if os.path.exists(shipped):
-            return shipped
-    cache_dir = os.environ.get("GRAFT_CFOLD_CACHE") or os.path.join(
-        tempfile.gettempdir(), f"pyjelly_ray_cfold_{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"cfold_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        r = subprocess.run(
-            [os.environ.get("GRAFT_CC", "gcc"), "-O2", "-fPIC", "-shared", "-o", tmp, _SRC],
-            capture_output=True,
-            timeout=120,
-        )
-        if r.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, so_path)  # atomic: racing workers all win
-        return so_path
-    except Exception:
-        return None
-
-
 def _load():
-    path = _build()
+    path = build(_SRC, "cfold")
     if path is None:
         return None
     try:
@@ -101,7 +60,7 @@ def _load():
     return lib
 
 
-LIB = None if os.environ.get("GRAFT_NO_CFOLD") else _load()
+LIB = _load()
 
 
 def _i64(a: np.ndarray):

@@ -20,48 +20,9 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .cfold import _build as _build_enc  # shared compile pattern
+from .._cbuild import build
 
-
-def _build() -> str | None:
-    import hashlib
-    import subprocess
-    import tempfile
-
-    src_path = os.path.join(os.path.dirname(__file__), "_cfold_dec.c")
-    try:
-        with open(src_path, "rb") as f:
-            src = f.read()
-    except OSError:
-        return None
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    ship_dir = os.environ.get("GRAFT_CFOLD_SO_DIR")  # see cfold.py
-    if ship_dir:
-        shipped = os.path.join(ship_dir, f"cfold_dec_{tag}.so")
-        if os.path.exists(shipped):
-            return shipped
-    cache_dir = os.environ.get("GRAFT_CFOLD_CACHE") or os.path.join(
-        tempfile.gettempdir(), f"pyjelly_ray_cfold_{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"cfold_dec_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        r = subprocess.run(
-            [os.environ.get("GRAFT_CC", "gcc"), "-O2", "-fPIC", "-shared", "-o", tmp, src_path],
-            capture_output=True,
-            timeout=120,
-        )
-        if r.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, so_path)
-        return so_path
-    except Exception:
-        return None
+_SRC = os.path.join(os.path.dirname(__file__), "_cfold_dec.c")
 
 
 class _OutCol(ctypes.Structure):
@@ -91,7 +52,7 @@ class _DecOut(ctypes.Structure):
 
 
 def _load():
-    path = _build()
+    path = build(_SRC, "cfold_dec")
     if path is None:
         return None
     try:
@@ -114,7 +75,7 @@ def _load():
     return lib
 
 
-LIB = None if os.environ.get("GRAFT_NO_CFOLD") else _load()
+LIB = _load()
 
 
 def _string_col(c: _OutCol, n: int) -> pa.Array:

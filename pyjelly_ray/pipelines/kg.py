@@ -3,11 +3,13 @@
     read_parquet(corpus)                      # column-pruned, streaming
       → map_batches(ingest_sha256)            # per-row invariant column
       → map_batches(TripleExtractor)          # stateless fan-out, Arrow
-      → map_batches(SymbolLinker, actors)     # broadcast dict, no shuffle
-      → dedup_exact                           # the one all-to-all shuffle
-      → write_kg_shards                       # repo-bucketed, sorted,
+      → collect_stats                         # symbol dict + repo counts
+      → dedup_and_write_kg_shards             # one fused two-hop exchange:
+                                              # link + key (map side),
+                                              # global dedup (hop 1),
+                                              # repo-bucketed, sorted,
                                               # deterministic Jelly bytes,
-                                              # manifests + resume
+                                              # manifests + resume (hop 2)
 
 Every stage is a Dataset transform; nothing materializes the corpus.  The
 driver (or bench.py) owns the Ray session.
@@ -16,7 +18,6 @@ driver (or bench.py) owns the Ray session.
 from __future__ import annotations
 
 from ..jelly.options import StreamOptions
-from ..stages.dedup import dedup_exact
 from ..stages.extract import extract_batch, ingest_sha256
 from ..stages.link import SymbolLinker, collect_symbol_dict, prepare_link_index
 
@@ -312,9 +313,7 @@ def build_kg(
     *,
     n_shards: int = 16,
     jelly_options: StreamOptions | None = None,
-    dedup: bool = True,
     materialize_triples: bool = True,
-    strategy: str = "fused",
 ):
     """Full pipeline; returns the manifest Dataset (consuming it runs the job).
 
@@ -333,7 +332,7 @@ def build_kg(
     """
     import ray
 
-    from ..sinks.jelly_sink import dedup_and_write_kg_shards, write_kg_shards
+    from ..sinks.jelly_sink import dedup_and_write_kg_shards
     from ..stages.link import make_linker_task
 
     corpus = read_corpus(corpus_path)
@@ -361,14 +360,7 @@ def build_kg(
             else collect_symbol_dict_ds(triples)
         )
         linked = link_triples_partitioned(triples, sym_ds)
-        if dedup and strategy == "fused":
-            return dedup_and_write_kg_shards(
-                linked, out_dir, n_shards=n_shards, options=jelly_options,
-                repo_counts=repo_counts,
-            )
-        if dedup:
-            linked = dedup_exact(linked)
-        return write_kg_shards(
+        return dedup_and_write_kg_shards(
             linked, out_dir, n_shards=n_shards, options=jelly_options,
             repo_counts=repo_counts,
         )
@@ -377,20 +369,13 @@ def build_kg(
     # linker tasks ray.get the ref either way; task-output refs and
     # ray.put refs read identically from plasma)
     sym_ref = ray.remote(prepare_link_index).remote(sym_table)
-    if strategy == "fused" and dedup:
-        # dedup + shard-write as one two-hop raw-task exchange (no Ray sort
-        # shuffles; measured 2.8× faster and non-bimodal — ROADMAP #1).  The
-        # linker runs INSIDE the exchange's map tasks (pre_map): the linked+
-        # keyed stream is never materialized as a second full plasma copy.
-        return dedup_and_write_kg_shards(
-            triples, out_dir, n_shards=n_shards, options=jelly_options,
-            repo_counts=repo_counts, pre_map=make_linker_task(sym_ref),
-        )
-    linked = triples.map_batches(make_linker_task(sym_ref), batch_format="pyarrow")
-    if dedup:
-        linked = dedup_exact(linked)
-    return write_kg_shards(
-        linked, out_dir, n_shards=n_shards, options=jelly_options, repo_counts=repo_counts
+    # dedup + shard-write as one two-hop raw-task exchange (no Ray sort
+    # shuffles; measured 2.8× faster and non-bimodal — ROADMAP #1).  The
+    # linker runs INSIDE the exchange's map tasks (pre_map): the linked+
+    # keyed stream is never materialized as a second full plasma copy.
+    return dedup_and_write_kg_shards(
+        triples, out_dir, n_shards=n_shards, options=jelly_options,
+        repo_counts=repo_counts, pre_map=make_linker_task(sym_ref),
     )
 
 
@@ -405,10 +390,10 @@ def incremental_build_kg(
 
     For an ADD-ONLY corpus delta with an unchanged shard plan, proves
     which shards cannot have changed (no new-file rows, no re-linked
-    names, no statement-key collisions with changed rows) and runs the
-    fused exchange with those shards filtered out after global dedup —
-    they never cross the second hop, never sort, never re-encode, and
-    their files/manifests are left untouched on disk.  Anything the
+    names, no statement-key collisions with changed rows) inside the
+    fused exchange: rows are tagged on the map side, and a shard with no
+    tagged row after global dedup never sorts, never re-encodes, and its
+    files/manifests are left untouched on disk.  Anything the
     proof can't cover (first build, modified/removed files, plan or
     options drift) falls back to a full build (where the per-shard
     row_xor skip still applies).
@@ -485,50 +470,24 @@ def incremental_build_kg(
         triples, added_shas, changed_names, new_sym_ref, old_sym_ref, nb
     )
 
-    import os as _os
-
-    inc_mode = _os.environ.get("GRAFT_INC_MODE", "tag")
-    if inc_mode == "scan":
-        # scan mode: an extra full link+key pass computes the affected set
-        # up front and the unaffected shards' rows are DROPPED after global
-        # dedup — they never cross the second exchange hop.  Worth its CPU
-        # only when hop-2 bytes are the bottleneck (NIC-bound clusters);
-        # single-node, tag mode below is strictly cheaper.
-        affected = inc.affected_shards(triples, delta_keys, new_sym_ref, nb, ns, hp)
-        affected |= inc.shards_missing_on_disk(out_dir, n_total)
-        skipped = n_total - len(affected)
-        written = 0
-        if affected:
-            manifests = dedup_and_write_kg_shards(
-                triples, out_dir, n_shards=n_shards, options=jelly_options,
-                repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
-                only_shards=affected,
-            )
-            written = sum(
-                b.num_rows for b in manifests.iter_batches(batch_format="pyarrow")
-            )
-        n_affected = len(affected)
-    else:
-        # tag mode (default): the exchange's existing map pass tags each row
-        # kin = (key ∈ K); the writer proves "no changed row" per shard and
-        # skips the sort AND fingerprint AND encode — zero extra scans.
-        keys_ref = ray.put(delta_keys)
-        manifests = dedup_and_write_kg_shards(
-            triples, out_dir, n_shards=n_shards, options=jelly_options,
-            repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
-            inc_keys=keys_ref,
-        )
-        rows = manifests.take_all()
-        n_affected = sum(1 for r in rows if r["status"] == "written")
-        skipped = sum(1 for r in rows if r["status"] == "skipped")
-        written = n_affected
+    # the exchange's map pass tags each row kin = (key ∈ K); the writer
+    # proves "no changed row" per shard and skips the sort AND fingerprint
+    # AND encode — zero extra scans.
+    keys_ref = ray.put(delta_keys)
+    manifests = dedup_and_write_kg_shards(
+        triples, out_dir, n_shards=n_shards, options=jelly_options,
+        repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
+        inc_keys=keys_ref,
+    )
+    rows = manifests.take_all()
+    written = sum(1 for r in rows if r["status"] == "written")
+    skipped = sum(1 for r in rows if r["status"] == "skipped")
 
     inc.persist_state(out_dir, sym_table, new_registry, plan_dict)
     return {
         "mode": "incremental",
-        "inc_mode": inc_mode,
         "n_total": n_total,
-        "affected": n_affected,
+        "affected": written,
         "skipped": skipped,
         "changed_names": len(changed_names),
         "delta_keys": int(len(delta_keys)),

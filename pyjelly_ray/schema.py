@@ -53,16 +53,3 @@ KG_TRIPLE_SCHEMA = pa.schema(
         ("content_sha256", pa.string()),
     ]
 )
-
-#: per-shard manifest row emitted by the Jelly writer
-MANIFEST_SCHEMA = pa.schema(
-    [
-        ("shard", pa.string()),
-        ("path", pa.string()),
-        ("n_statements", pa.int64()),
-        ("n_bytes", pa.int64()),
-        ("n_files", pa.int64()),
-        ("sha256_xor", pa.string()),  # order-insensitive roll-up of src hashes
-        ("status", pa.string()),
-    ]
-)

@@ -2,14 +2,15 @@
 
 Two writers (SURVEY.md §2.1 "grouped/flat_stream_to_file" → Ray mapping):
 
-- :func:`write_kg_shards` — the KG pipeline sink.  Statements are bucketed
-  by ``hash(repo) % n_shards`` (graph locality; the hot repo is split
-  further by path hash — salting), each bucket is written by ONE task with a
-  fresh :class:`StreamEncoder` after an in-group sort by ``(repo, path,
-  seq)`` so shard bytes are deterministic regardless of execution order
-  (SURVEY.md §4.2 'ordering').  Each shard writes ``.tmp`` → fsync → atomic
-  rename, then a manifest JSON (input fingerprint, counts, sha256 roll-up).
-  On resume, shards whose manifest matches are skipped without re-encoding.
+- :func:`dedup_and_write_kg_shards` — the KG pipeline sink.  Statements
+  are globally deduped, then bucketed by ``hash(repo) % n_shards`` (graph
+  locality; the hot repo is split further by path hash — salting), each
+  bucket is written by ONE :class:`ShardJellyWriter` call with a fresh
+  encoder after an in-group sort by ``(repo, path, seq)`` so shard bytes
+  are deterministic regardless of execution order (SURVEY.md §4.2
+  'ordering').  Each shard writes ``.tmp`` → fsync → atomic rename, then a
+  manifest JSON (input fingerprint, counts, sha256 roll-up).  On resume,
+  shards whose manifest matches are skipped without re-encoding.
 
 - :class:`JellyDatasink` — generic ``ds.write_datasink(...)`` sink for any
   flattened-statement Dataset: one independent delimited stream per write
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import reduce
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -287,7 +287,7 @@ class ShardJellyWriter:
             kin_any = pc.any(group.column("kin")).as_py()
             group = group.drop_columns(["kin"])
         if kin_any is False:
-            # incremental tag-mode proof: no row's statement key is in the
+            # incremental-rebuild proof: no row's statement key is in the
             # delta set K ⇒ this shard's row multiset (and so its bytes) is
             # unchanged — skip the sort AND the fingerprint, not just the
             # encode.  Guarded by the row-count invariant; any mismatch
@@ -453,17 +453,10 @@ def _mod(arr, n: int):
 
 
 def _str_hash(col, seed: int):
-    """Per-row polars hash of a string column; dictionary-encoded input
-    hashes the (small) dictionary once and takes — value-identical to
-    hashing the flat strings (polars hashes categorical inputs by PHYSICAL
-    code, which would change with the dictionary layout, so it is never
-    fed dict input directly)."""
+    """Per-row polars hash of a string column."""
     import polars as pl
 
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if pa.types.is_dictionary(col.type):
-        dh = pl.Series("d", col.dictionary).hash(seed=seed).to_arrow()
-        return pc.take(dh, col.indices)
     return pl.Series("d", col).hash(seed=seed).to_arrow()
 
 
@@ -504,25 +497,6 @@ def add_shard_column(n_shards: int, hot_plan: dict[str, tuple[int, int]] | None 
         return batch.append_column("shard", shard)
 
     return _assign
-
-
-def write_kg_shards(ds, out_dir: str, n_shards: int = 16,
-                    options: StreamOptions | None = None,
-                    repo_counts: dict[str, int] | None = None):
-    """KG sink: bucket by repo hash → per-shard sorted sequential encode.
-
-    ``repo_counts`` (from :func:`collect_repo_counts`) enables hot-repo
-    salting; omitted → plain hash bucketing.  Returns the manifest Dataset
-    (one row per shard).
-    """
-    hot_plan = hot_repo_splits(repo_counts, n_shards) if repo_counts else None
-    ds = ds.map_batches(add_shard_column(n_shards, hot_plan), batch_format="pyarrow")
-    writer = ShardJellyWriter(out_dir, options)
-
-    def write_shard(group: pa.Table) -> pa.Table:
-        return writer(group)
-
-    return ds.groupby("shard").map_groups(write_shard, batch_format="pyarrow")
 
 
 def compute_shard_plan(repo_counts, n_shards: int, *, n_buckets=None, ds=None):
@@ -577,7 +551,6 @@ def dedup_and_write_kg_shards(
     repo_counts: dict[str, int] | None = None,
     n_buckets: int | None = None,
     pre_map=None,
-    only_shards: set[int] | None = None,
     inc_keys=None,
 ):
     """Fused sink: exact dedup + repo-sharded Jelly write as ONE two-hop
@@ -616,7 +589,7 @@ def dedup_and_write_kg_shards(
         b = add_tkey(b, n_buckets)
         _prof("km_tkey", t0, b.num_rows, c0)
         if inc_keys is not None:
-            # incremental tag mode (state/incremental.py): mark rows whose
+            # incremental rebuild (state/incremental.py): mark rows whose
             # statement key is in the delta set K — a pure function of the
             # key, so dedup keeps it consistent across duplicate rows and
             # the writer can prove per shard "no row changed" without any
@@ -634,31 +607,11 @@ def dedup_and_write_kg_shards(
         _prof("km_dedup", t0, b.num_rows, c0)
         return b
 
-    keep_arr = (
-        pa.array(sorted(only_shards), pa.int32()) if only_shards is not None else None
-    )
-
     def dedup_assign(t: pa.Table) -> pa.Table:
         t = assign(dedup_block(t))
-        if keep_arr is not None:
-            # incremental narrowing (state/incremental.py): rows of shards
-            # proven byte-identical are dropped AFTER global dedup (winner
-            # selection saw every row) and never cross the second hop
-            t = t.filter(pc.is_valid(pc.index_in(t.column("shard"), value_set=keep_arr)))
         drop = [c for c in ("h1", "h2", "bucket") if c in t.column_names]
         return t.drop_columns(drop) if drop else t
 
-    # keep-dict: strings cross both hops dictionary-encoded ONCE and are
-    # never re-materialized — every reduce kernel on this path tolerates
-    # dictionary columns (dedup_block int sorts, add_shard_column
-    # dictionary hashing, writer rank sort / fingerprint / dictionary-aware
-    # encoder).  Byte-identical either way (pinned by
-    # test_keep_dict_byte_identical).  Default OFF like the compress flag:
-    # on a single box the A/B measured ~3-6% wall cost and no efficiency
-    # gain (plasma is shared memory), while on a multi-node cluster the
-    # ~3x-fewer exchange bytes cross a NIC with NO reduce-side decode tax
-    # — flip GRAFT_KEEP_DICT=1 there and re-measure.
-    keep_dict = os.environ.get("GRAFT_KEEP_DICT", "0") == "1"
     return fused_two_hop_exchange(
         ds,
         key1_col="bucket",
@@ -668,7 +621,6 @@ def dedup_and_write_kg_shards(
         n2=n_total,
         reduce2=writer,
         map_fn=key_map,
-        keep_dict=keep_dict,
     )
 
 

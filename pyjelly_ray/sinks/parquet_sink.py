@@ -18,7 +18,7 @@ already done.  This sink instead:
    written|skipped) — the lineage surface a driver checks.
 
 Reference parity: mirrors the sharded Jelly writer's resume contract
-(`sinks/jelly_sink.py::write_kg_shards`, reference
+(`sinks/jelly_sink.py::ShardJellyWriter`, reference
 pyjelly/integrations/generic/generic_sink.py serialize-to-file surface),
 re-expressed for Parquet tables.
 """

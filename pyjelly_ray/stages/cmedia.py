@@ -1,27 +1,21 @@
 """ctypes loader + wrappers for the compiled media hot loops (_cmedia.c).
 
-Same pattern as ``pyjelly_ray.jelly.cfold`` (the reference ships
-mypyc-compiled wheels for its hot modules, /root/reference/pyproject.toml;
-this repo compiles one C file on first use into a content-addressed cache
-under /tmp and loads it via ctypes).  Everything is optional: no gcc, a
-failed build or load ⇒ ``LIB is None`` and every wrapper returns ``None``
-so the caller uses the pure-Python codec — which stays the single source
-of semantics, pinned byte-identical by tests/test_cmedia.py.
-
-Env knobs: ``GRAFT_NO_CMEDIA=1`` disables the fast path entirely;
-``GRAFT_CMEDIA_SO_DIR`` points gcc-less workers at a pre-built .so
-(build-once-ship pattern, same as GRAFT_CFOLD_SO_DIR).
+Same pattern as ``pyjelly_ray.jelly.cfold``: one C file compiled on first
+use by :func:`pyjelly_ray._cbuild.build` (whose env knobs cover this fold
+too) and loaded via ctypes.  Everything is optional: no gcc, a failed
+build or load ⇒ ``LIB is None`` and every wrapper returns ``None`` so the
+caller uses the pure-Python codec — which stays the single source of
+semantics, pinned byte-identical by tests/test_cmedia.py.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 
 import numpy as np
+
+from .._cbuild import build
 
 _SRC = os.path.join(os.path.dirname(__file__), "_cmedia.c")
 
@@ -32,44 +26,8 @@ _I64 = ctypes.POINTER(ctypes.c_int64)
 _U32 = ctypes.POINTER(ctypes.c_uint32)
 
 
-def _build() -> str | None:
-    try:
-        with open(_SRC, "rb") as f:
-            src = f.read()
-    except OSError:
-        return None
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    ship_dir = os.environ.get("GRAFT_CMEDIA_SO_DIR")
-    if ship_dir:
-        shipped = os.path.join(ship_dir, f"cmedia_{tag}.so")
-        if os.path.exists(shipped):
-            return shipped
-    cache_dir = os.environ.get("GRAFT_CFOLD_CACHE") or os.path.join(
-        tempfile.gettempdir(), f"pyjelly_ray_cfold_{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"cmedia_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        r = subprocess.run(
-            [os.environ.get("GRAFT_CC", "gcc"), "-O2", "-fPIC", "-shared", "-o", tmp, _SRC],
-            capture_output=True,
-            timeout=120,
-        )
-        if r.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, so_path)  # atomic: racing workers all win
-        return so_path
-    except Exception:
-        return None
-
-
 def _load():
-    path = _build()
+    path = build(_SRC, "cmedia")
     if path is None:
         return None
     try:
@@ -105,7 +63,7 @@ def _load():
     return lib
 
 
-LIB = None if os.environ.get("GRAFT_NO_CMEDIA") else _load()
+LIB = _load()
 
 
 def _u8view(b) -> tuple[np.ndarray, "ctypes._Pointer"]:

@@ -74,22 +74,10 @@ def auto_buckets(est_rows: int | None = None, ds=None) -> int:
 
 
 def _col_hash64(col, seed: int):
-    """Seeded 64-bit polars hash of one column → numpy uint64.
-
-    Dictionary input hashes the (small) dictionary once and takes —
-    value-identical to hashing the flat values (keep-dict mode relies on
-    this; null values get polars' own null hash either way)."""
-    import numpy as np
+    """Seeded 64-bit polars hash of one column → numpy uint64."""
     import polars as pl
 
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if pa.types.is_dictionary(col.type):
-        dh = pl.Series("d", col.dictionary).hash(seed=seed).to_arrow()
-        h = pc.take(dh, col.indices)
-        if h.null_count:
-            null_h = pl.Series("n", [None], dtype=pl.Utf8).hash(seed=seed)[0]
-            h = pc.fill_null(h, pa.scalar(null_h, pa.uint64()))
-        return h.to_numpy(zero_copy_only=False)
     return pl.Series("d", col).hash(seed=seed).to_numpy()
 
 

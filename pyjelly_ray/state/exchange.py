@@ -25,7 +25,6 @@ import time
 from typing import Callable
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def _prof(stage: str, t0: float, rows: int, cpu0: float | None = None) -> None:
@@ -61,86 +60,11 @@ def _prof(stage: str, t0: float, rows: int, cpu0: float | None = None) -> None:
         os.close(fd)
 
 
-def _split_block_timed(
-    table: pa.Table, n_partitions: int, bucket_col: str, compress: bool = False
-) -> list[pa.Table]:
+def _split_block_timed(table: pa.Table, n_partitions: int, bucket_col: str) -> list[pa.Table]:
     t0 = time.time()
-    out = _split_block(table, n_partitions, bucket_col, compress)
+    out = _split_block(table, n_partitions, bucket_col)
     _prof("split", t0, table.num_rows)
     return out
-
-
-def _pack_dict(table: pa.Table) -> pa.Table:
-    """Dictionary-encode every string column of one exchange partition.
-
-    Applied AFTER the split-side ``take`` so each partition carries its own
-    compact dictionary (encoding before the take would ship the parent
-    block's full dictionary with every partition).  Measured on the KG
-    payload: shard-hop partitions shrink to ~33% of raw bytes (repo/path/
-    sha256/predicate columns are near-constant within a shard), bucket-hop
-    partitions to ~85%, at ~0.4 µs/row.  On a single box that CPU is a net
-    LOSS (see fused_two_hop_exchange docstring) — this exists for multi-node
-    deployments where exchange bytes cross the network."""
-    cols = list(table.columns)
-    changed = False
-    for i, col in enumerate(cols):
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            cols[i] = pc.dictionary_encode(col.combine_chunks())
-            changed = True
-    if not changed:
-        return table
-    return pa.table(dict(zip(table.column_names, cols)))
-
-
-def _compact_dict_cols(table: pa.Table) -> pa.Table:
-    """Shrink each dictionary column's dictionary to its REFERENCED values.
-
-    ``take``/``slice`` on a DictionaryArray keeps the parent's FULL
-    dictionary, so a partition cut from a concatenated bucket would ship
-    the whole bucket's distinct values to every downstream task (measured:
-    65 GB spilled at 19.6M rows — the exact failure the split-side
-    ``_pack_dict``-after-take ordering avoids for flat input).  Compaction
-    is an int remap: unique referenced indices + one dictionary take — no
-    string hashing or materialization.
-    """
-    import numpy as np
-
-    cols = list(table.columns)
-    changed = False
-    for i, col in enumerate(cols):
-        if not pa.types.is_dictionary(col.type):
-            continue
-        a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        idx = a.indices
-        np_idx = idx.fill_null(-1).to_numpy(zero_copy_only=False)
-        used = np.unique(np_idx)
-        used = used[used >= 0]
-        if len(used) == len(a.dictionary):
-            cols[i] = a
-            continue
-        remap = np.full(len(a.dictionary), -1, np.int32)
-        remap[used] = np.arange(len(used), dtype=np.int32)
-        new_idx = pa.array(remap[np_idx], pa.int32(), mask=np_idx < 0)
-        cols[i] = pa.DictionaryArray.from_arrays(new_idx, a.dictionary.take(used))
-        changed = True
-    if not changed:
-        return table
-    return pa.table(dict(zip(table.column_names, cols)))
-
-
-def _unpack_dict(table: pa.Table) -> pa.Table:
-    """Reduce-side mirror of :func:`_pack_dict`: cast dictionary columns back
-    to plain strings after the concat, so reduce kernels (and output blocks)
-    see the exact pre-exchange schema."""
-    cols = list(table.columns)
-    changed = False
-    for i, col in enumerate(cols):
-        if pa.types.is_dictionary(col.type):
-            cols[i] = pc.cast(col, col.type.value_type)
-            changed = True
-    if not changed:
-        return table
-    return pa.table(dict(zip(table.column_names, cols)))
 
 
 def _as_table(p):
@@ -149,10 +73,7 @@ def _as_table(p):
     return p[0] if isinstance(p, list) else p
 
 
-def _split_block(
-    table: pa.Table, n_partitions: int, bucket_col: str, compress: bool = False,
-    compact: bool = False,
-) -> list[pa.Table]:
+def _split_block(table: pa.Table, n_partitions: int, bucket_col: str) -> list[pa.Table]:
     """One stable argsort + boundary search → P *compact* gathered tables.
 
     Each partition is materialized with ``take`` — NOT ``slice``: pyarrow
@@ -178,16 +99,9 @@ def _split_block(
     order = np.argsort(b, kind="stable")
     sorted_b = b[order]
     bounds = np.searchsorted(sorted_b, np.arange(n_partitions + 1))
-    parts = [
+    return [
         table.take(order[bounds[p] : bounds[p + 1]]) for p in range(n_partitions)
     ]
-    if compress:
-        parts = [_pack_dict(p) for p in parts]
-    elif compact:
-        # keep-dict re-split: partitions inherit the parent's full
-        # dictionary from ``take`` — compact each to referenced values
-        parts = [_compact_dict_cols(p) for p in parts]
-    return parts
 
 
 def fused_two_hop_exchange(
@@ -200,8 +114,6 @@ def fused_two_hop_exchange(
     n2: int,
     reduce2: Callable[[pa.Table], pa.Table],
     map_fn: Callable[[pa.Table], pa.Table] | None = None,
-    compress: bool | None = None,
-    keep_dict: bool | None = None,
 ):
     """TWO all-to-alls fused into one raw-task DAG (dedup hop → writer hop).
 
@@ -231,42 +143,15 @@ def fused_two_hop_exchange(
     fusing the last narrow transform (e.g. link + key + local pre-dedup)
     into the exchange avoids materializing that transform's output as a
     second full copy of the dataset in the object store.
-
-    ``compress`` (default False; env override ``GRAFT_EXCHANGE_COMPRESS=1``):
-    partitions travel with their string columns dictionary-encoded
-    (:func:`_pack_dict`) and are decoded after the reduce-side concat —
-    byte-identical results, ~3× fewer exchange bytes on the shard hop.
-    Measured OFF-by-default on purpose: on a single box the exchange never
-    crosses a NIC, and the encode/decode CPU cost the pipeline ~76% wall
-    (33.5 s → 59.1 s warm, 32 cpus, 19.6M triples) with zero byte savings
-    that matter.  On a multi-node cluster where the two hops cross the
-    network at ~3× fewer bytes, flip it on per-deployment and re-measure.
-
-    ``keep_dict`` (env ``GRAFT_KEEP_DICT``, default per caller): like
-    ``compress`` but with NO reduce-side decode — string columns are
-    dictionary-encoded once on the map side and stay dictionary-encoded
-    through both hops into ``reduce1``/``reduce2``, which must therefore
-    be dict-tolerant (the KG dedup/writer kernels are: int-rank sorts,
-    take/filter, hash-of-dictionary, dictionary-aware encoder).  This is
-    the memory-bandwidth cut the compress A/B pointed at: compress bought
-    3× fewer exchange bytes but paid a full decode re-materialization per
-    reduce; keep-dict buys the same bytes WITHOUT the decode tax.
     """
     import ray
-
-    if compress is None:
-        compress = os.environ.get("GRAFT_EXCHANGE_COMPRESS", "0") == "1"
-    if keep_dict is None:
-        keep_dict = os.environ.get("GRAFT_KEEP_DICT", "0") == "1"
-    if keep_dict:
-        compress = True  # pack on the map side; reduces skip the unpack
 
     def _split1(table: pa.Table, n_: int, key: str):
         if map_fn is not None:
             t0, c0 = time.time(), time.process_time()
             table = map_fn(table)
             _prof("map_fused", t0, table.num_rows, c0)
-        return _split_block_timed(table, n_, key, compress)
+        return _split_block_timed(table, n_, key)
 
     split1 = ray.remote(num_returns=n1)(_split1)
 
@@ -275,11 +160,7 @@ def fused_two_hop_exchange(
         parts = [_as_table(p) for p in parts]
         tables = [p for p in parts if p.num_rows]
         t = pa.concat_tables(tables, promote_options="default") if tables else parts[0]
-        if not keep_dict:
-            t = _unpack_dict(t)
-        out = _split_block(
-            reduce1(t), n2_, key2, compress and not keep_dict, compact=keep_dict
-        )
+        out = _split_block(reduce1(t), n2_, key2)
         _prof("mid", t0, t.num_rows)
         return out
 
@@ -288,8 +169,6 @@ def fused_two_hop_exchange(
         parts = [_as_table(p) for p in parts]
         tables = [p for p in parts if p.num_rows]
         t = pa.concat_tables(tables, promote_options="default") if tables else parts[0]
-        if not keep_dict:
-            t = _unpack_dict(t)
         out = reduce2(t)
         _prof("final", t0, t.num_rows, c0)
         return out
@@ -339,7 +218,6 @@ def hash_exchange_pair(
     right_bucket_col: str,
     n_partitions: int,
     reduce_fn: Callable[[pa.Table, pa.Table], pa.Table],
-    compress: bool = False,
 ):
     """Two-sided all-to-all: co-partition two Datasets by their int bucket
     columns and apply ``reduce_fn(left_part, right_part)`` per partition
@@ -348,10 +226,6 @@ def hash_exchange_pair(
     Both bucket columns MUST use the same hash of the join key so equal
     keys land in the same partition.  Empty-side parts arrive as 0-row
     tables with the side's schema; ``reduce_fn`` must accept them.
-
-    ``compress``: dictionary-encode string columns in flight (see
-    :func:`_pack_dict`); decoded before ``reduce_fn`` — worthwhile when the
-    payload carries repetitive strings co-located by the bucket key.
     """
     import ray
 
@@ -363,8 +237,8 @@ def hash_exchange_pair(
         def _concat(ps):
             live = [p for p in ps if p.num_rows]
             if not live:
-                return _unpack_dict(max(ps, key=lambda p: p.num_columns))
-            return _unpack_dict(pa.concat_tables(live, promote_options="default"))
+                return max(ps, key=lambda p: p.num_columns)
+            return pa.concat_tables(live, promote_options="default")
 
         return reduce_fn(_concat(parts[:n_left]), _concat(parts[n_left:]))
 
@@ -384,7 +258,7 @@ def hash_exchange_pair(
     n_left_parts = len(left_refs)
     for refs, col in ((left_refs, left_bucket_col), (right_refs, right_bucket_col)):
         for ref in refs:
-            outs = split.remote(ref, n_partitions, col, compress)
+            outs = split.remote(ref, n_partitions, col)
             if n_partitions == 1:
                 outs = [outs]
             for p, r in enumerate(outs):
@@ -409,7 +283,6 @@ def hash_exchange(
     n_partitions: int,
     reduce_fn: Callable[[pa.Table], pa.Table],
     reduce_empty: bool = False,
-    compress: bool = False,
     empty_base: pa.Table | None = None,
 ):
     """All-to-all by an int bucket column with a per-partition reduce.
@@ -428,9 +301,6 @@ def hash_exchange(
     block of a partition was empty, the parts can be schema-less 0-column
     tables; with ``empty_base`` the reduce runs on (or passes through) a
     table with the operator's real input schema instead.
-
-    ``compress``: dictionary-encode string columns in flight (see
-    :func:`_pack_dict`); decoded before ``reduce_fn``.
     """
     import ray
 
@@ -442,11 +312,11 @@ def hash_exchange(
         if not live:
             # pick a part that still carries the schema (0-row blocks that
             # skipped upstream UDFs can be schema-less)
-            base = _unpack_dict(max(parts, key=lambda p: p.num_columns))
+            base = max(parts, key=lambda p: p.num_columns)
             if empty_base is not None and base.num_columns < empty_base.num_columns:
                 base = empty_base
             return reduce_fn(base) if reduce_empty else base
-        return reduce_fn(_unpack_dict(pa.concat_tables(live, promote_options="default")))
+        return reduce_fn(pa.concat_tables(live, promote_options="default"))
 
     reduce_remote = ray.remote(_reduce)
 
@@ -458,7 +328,7 @@ def hash_exchange(
         return ds
     part_refs: list[list] = [[] for _ in range(n_partitions)]
     for ref in block_refs:
-        outs = split.remote(ref, n_partitions, bucket_col, compress)
+        outs = split.remote(ref, n_partitions, bucket_col)
         if n_partitions == 1:
             outs = [outs]
         for p, r in enumerate(outs):

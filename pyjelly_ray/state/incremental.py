@@ -4,18 +4,9 @@ The per-shard ``row_xor`` skip (sinks/jelly_sink.py) already avoids
 re-ENCODING byte-identical shards, but every rebuild still pays the full
 exchange (dedup shuffle + shard shuffle + writer sort) for all shards.
 This module proves which shards an add-only corpus delta cannot possibly
-touch.  Two consumption modes (GRAFT_INC_MODE, kg.incremental_build_kg):
-
-- ``tag`` (default): the exchange's existing map pass tags each row
-  ``kin = key ∈ K``; the writer proves "no changed row" per shard group
-  and skips the sort AND fingerprint AND encode — zero extra scans, the
-  cheapest posture when exchange bytes are local (single node / fast
-  interconnect).
-- ``scan``: an extra link+key pass computes the affected-shard set up
-  front and unaffected rows are DROPPED at the shard-assign boundary
-  (after global dedup, so cross-shard winner selection still sees every
-  row) — they never cross the second exchange hop.  Worth the extra CPU
-  when hop-2 bytes cross a slow NIC.
+touch: the exchange's map pass tags each row ``kin = key ∈ K``
+(:func:`kin_mask`), and the writer skips the sort, fingerprint and encode
+of every shard group with no tagged row — no extra scan.
 
 Soundness argument (add-only deltas, stable shard plan):
 a shard's bytes are a pure function of its deduped row multiset (writer
@@ -178,8 +169,7 @@ def _direct_mask(batch: pa.Table, new_shas: pa.Array, changed_names: pa.Array):
         pc.index_in(batch.column("content_sha256").cast(pa.string()), value_set=new_shas)
     )
     if len(changed_names):
-        o = batch.column("o_value").combine_chunks()
-        d = o if pa.types.is_dictionary(o.type) else o.dictionary_encode()
+        d = batch.column("o_value").combine_chunks().dictionary_encode()
         uniq = d.dictionary
         unl = pc.starts_with(uniq, "unlinked:")
         name = pc.utf8_slice_codeunits(uniq, 9)
@@ -250,63 +240,3 @@ def kin_mask(keyed: pa.Table, delta_keys: np.ndarray) -> np.ndarray:
     out = np.zeros(n, bool)
     out[idx] = np.isin(packed, delta_keys)
     return out
-
-
-def affected_shards(triples_ds, delta_keys: np.ndarray, new_sym_ref,
-                    n_buckets: int, n_shards: int, hot_plan) -> set[int]:
-    """Pass A2: shards holding any row whose (new-linked) statement key is
-    in K — flagged by the row's own provenance shard (see module doc)."""
-    from ..sinks.jelly_sink import add_shard_column
-    from ..stages.dedup import add_tkey
-    from ..stages.link import make_linker_task
-
-    if len(delta_keys) == 0:
-        return set()
-    link = make_linker_task(new_sym_ref)
-    assign = add_shard_column(n_shards, hot_plan)
-    k1 = np.ascontiguousarray(delta_keys["a"])
-
-    def shards_of(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"shard": pa.array([], pa.int32())})
-        k = add_tkey(link(batch), n_buckets)
-        h1 = k.column("h1").combine_chunks().to_numpy(zero_copy_only=False)
-        pre = np.isin(h1, k1)  # cheap prefilter on the first key word
-        if not pre.any():
-            return pa.table({"shard": pa.array([], pa.int32())})
-        sub = k.filter(pa.array(pre))
-        packed = _pack_keys(
-            sub.column("h1").combine_chunks().to_numpy(zero_copy_only=False),
-            sub.column("h2").combine_chunks().to_numpy(zero_copy_only=False),
-        )
-        hit = np.isin(packed, delta_keys)
-        if not hit.any():
-            return pa.table({"shard": pa.array([], pa.int32())})
-        flagged = assign(sub.filter(pa.array(hit)))
-        return pa.table({"shard": pc.unique(flagged.column("shard"))})
-
-    found: set[int] = set()
-    for b in triples_ds.map_batches(shards_of, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        found.update(b.column("shard").to_pylist())
-    return found
-
-
-def shards_missing_on_disk(out_dir: str, n_total: int) -> set[int]:
-    """Crash-resume guard: shards without a written part file + manifest
-    must always be treated as affected."""
-    missing = set()
-    for s in range(n_total):
-        part = os.path.join(out_dir, f"part-{s:05d}.jelly")
-        man = os.path.join(out_dir, "manifests", f"part-{s:05d}.json")
-        ok = False
-        if os.path.exists(part) and os.path.exists(man):
-            try:
-                with open(man) as f:
-                    ok = json.load(f).get("status") in ("written", "skipped")
-            except (OSError, json.JSONDecodeError):
-                ok = False
-        if not ok:
-            missing.add(s)
-    return missing

@@ -11,7 +11,6 @@ tests assert both paths raise the same exception type.
 from __future__ import annotations
 
 import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -249,18 +248,20 @@ def test_jpeg_corruption_fuzz_both_paths():
 
 
 def test_cmedia_ship_dir_pattern(tmp_path, monkeypatch):
-    """GRAFT_CMEDIA_SO_DIR: a pre-built .so is honored before any build."""
+    """GRAFT_CFOLD_SO_DIR: a pre-built .so is honored before any build."""
     import hashlib
 
-    src = open(os.path.join(os.path.dirname(cmedia.__file__), "_cmedia.c"), "rb").read()
+    from pyjelly_ray._cbuild import build
+
+    src = open(cmedia._SRC, "rb").read()
     tag = hashlib.sha256(src).hexdigest()[:16]
-    built = cmedia._build()
+    built = build(cmedia._SRC, "cmedia")
     assert built is not None
     import shutil
 
     shutil.copy(built, tmp_path / f"cmedia_{tag}.so")
-    monkeypatch.setenv("GRAFT_CMEDIA_SO_DIR", str(tmp_path))
-    assert cmedia._build() == str(tmp_path / f"cmedia_{tag}.so")
+    monkeypatch.setenv("GRAFT_CFOLD_SO_DIR", str(tmp_path))
+    assert build(cmedia._SRC, "cmedia") == str(tmp_path / f"cmedia_{tag}.so")
 
 
 # ------------------------------------------------------------------ VP8L

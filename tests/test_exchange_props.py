@@ -138,28 +138,7 @@ def test_global_topk_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got[["ik", "sk", "v"]], want[["ik", "sk", "v"]])
 
 
-def test_pack_unpack_dict_roundtrip():
-    from pyjelly_ray.state.exchange import _pack_dict, _unpack_dict
-
-    t = _random_table(51, 300, 12, with_nulls=True)
-    packed = _pack_dict(t)
-    assert pa.types.is_dictionary(packed.column("sk").type)
-    assert packed.column("ik").type == t.column("ik").type  # non-strings untouched
-    assert _unpack_dict(packed).equals(t)
-    # concat of partitions with DIFFERENT dictionaries, then unpack
-    a, b = _pack_dict(t.slice(0, 100)), _pack_dict(t.slice(100))
-    merged = _unpack_dict(pa.concat_tables([a, b], promote_options="default"))
-    assert merged.equals(t)
-    # empty partition
-    empty = _pack_dict(t.slice(0, 0))
-    assert _unpack_dict(empty).equals(t.slice(0, 0))
-    # tables without string columns pass through untouched (same object)
-    ints = t.select(["ik", "v"])
-    assert _pack_dict(ints) is ints
-    assert _unpack_dict(ints) is ints
-
-
-def test_hash_exchange_compress_equivalent(ray_session):
+def test_hash_exchange_preserves_rows(ray_session):
     from pyjelly_ray.state.exchange import hash_exchange
 
     t = _random_table(61, 700, 30, with_nulls=True)
@@ -175,14 +154,11 @@ def test_hash_exchange_compress_equivalent(ray_session):
         assert not any(pa.types.is_dictionary(f.type) for f in part.schema)
         return part.sort_by([("ik", "ascending"), ("v", "ascending")])
 
-    outs = []
-    for compress in (False, True):
-        got = hash_exchange(
-            _ds(t, 5), bucket_col="bucket", n_partitions=8,
-            reduce_fn=reduce_fn, compress=compress,
-        ).to_pandas().sort_values(["ik", "v"]).reset_index(drop=True)
-        outs.append(got)
-    pd.testing.assert_frame_equal(outs[0], outs[1])
+    got = hash_exchange(
+        _ds(t, 5), bucket_col="bucket", n_partitions=8, reduce_fn=reduce_fn,
+    ).to_pandas().sort_values(["ik", "v"]).reset_index(drop=True)
+    want = t.to_pandas().sort_values(["ik", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_grouped_map_matches_ray_groupby(ray_session):
@@ -233,27 +209,9 @@ def test_num_partitions_env_knob(ray_session, monkeypatch):
     assert out.count() == 100
 
 
-def test_compact_dict_cols_shrinks_and_preserves():
-    """_compact_dict_cols: values identical, dictionary cut to referenced
-    entries (the 65-GB-spill guard for keep-dict re-splits)."""
-    import pyarrow as pa
-
-    from pyjelly_ray.state.exchange import _compact_dict_cols
-
-    big = pa.array([f"v{i}" for i in range(1000)]).dictionary_encode()
-    part = big.take(pa.array([5, 7, 5, None, 999]))  # inherits full dict
-    t = pa.table({"k": part, "n": [1, 2, 3, 4, 5]})
-    out = _compact_dict_cols(t)
-    col = out.column("k")
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    assert len(col.dictionary) == 3  # v5, v7, v999
-    assert col.to_pylist() == ["v5", "v7", "v5", None, "v999"]
-    assert out.column("n").to_pylist() == [1, 2, 3, 4, 5]
-
-
 def test_rank_keys_order_equals_rank_key():
     """Hierarchical per-column ranks sort identically to the joined-string
-    rank (dict-encoded or flat)."""
+    rank."""
     import pyarrow as pa
 
     from pyjelly_ray.arrowutil import rank_key, rank_keys
@@ -268,31 +226,10 @@ def test_rank_keys_order_equals_rank_key():
     joint = t.append_column("_r", rank_key(t, ["a", "b"])).sort_by(
         [("_r", "ascending")]
     )
-    td = pa.table(
-        {
-            "a": t.column("a").combine_chunks().dictionary_encode(),
-            "b": t.column("b").combine_chunks().dictionary_encode(),
-            "v": t.column("v"),
-        }
-    )
-    r0, r1 = rank_keys(td, ["a", "b"])
+    r0, r1 = rank_keys(t, ["a", "b"])
     hier = (
-        td.append_column("_r0", r0)
+        t.append_column("_r0", r0)
         .append_column("_r1", r1)
         .sort_by([("_r0", "ascending"), ("_r1", "ascending")])
     )
     assert joint.column("v").to_pylist() == hier.column("v").to_pylist()
-
-
-def test_str_hash_dict_equals_flat():
-    """_str_hash on a dictionary column == polars hash of the flat strings
-    (shard assignment must not change under keep-dict)."""
-    import pyarrow as pa
-
-    from pyjelly_ray.sinks.jelly_sink import _str_hash
-
-    vals = ["a", "b", "a", "c", "b"]
-    flat = pa.array(vals)
-    h_flat = _str_hash(flat, 7).to_pylist()
-    h_dict = _str_hash(flat.dictionary_encode(), 7).to_pylist()
-    assert h_flat == h_dict

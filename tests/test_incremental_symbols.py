@@ -88,22 +88,6 @@ def test_incremental_add_only_narrowing(ray_session, corpora, tmp_path):
     assert r3["affected"] == 0 and r3["skipped"] == r3["n_total"], r3
 
 
-def test_incremental_scan_mode(ray_session, corpora, tmp_path, monkeypatch):
-    """GRAFT_INC_MODE=scan: the NIC-bound posture — affected set computed
-    up front, unaffected rows dropped before hop 2.  Same proof, same
-    bytes."""
-    monkeypatch.setenv("GRAFT_INC_MODE", "scan")
-    v1, v2 = corpora
-    out = str(tmp_path / "kg")
-    ref = str(tmp_path / "kg_ref")
-    incremental_build_kg(v1, out, n_shards=N_SHARDS)
-    r = incremental_build_kg(v2, out, n_shards=N_SHARDS)
-    assert r["mode"] == "incremental" and r["inc_mode"] == "scan"
-    assert 0 < r["affected"] < r["n_total"], r
-    _consume(build_kg(v2, ref, n_shards=N_SHARDS))
-    assert _dir_digests(out) == _dir_digests(ref)
-
-
 def test_incremental_fallback_on_modification(ray_session, corpora, tmp_path):
     v1, _ = corpora
     out = str(tmp_path / "kg")

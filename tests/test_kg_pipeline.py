@@ -357,23 +357,37 @@ def test_chaos_sigkill_resume_byte_identical(corpus_path, tmp_path):
     assert _shard_digests(out) == want
 
 
-def test_keep_dict_byte_identical(ray_session, corpus_path, tmp_path):
-    """GRAFT_KEEP_DICT=1 (strings stay dictionary-encoded through both
-    exchange hops into the writer) must produce byte-identical shards."""
-    flat = str(tmp_path / "flat")
-    kd = str(tmp_path / "kd")
-    old = os.environ.get("GRAFT_KEEP_DICT")
-    try:
-        os.environ["GRAFT_KEEP_DICT"] = "0"
-        build_kg(corpus_path, flat, n_shards=4).materialize()
-        os.environ["GRAFT_KEEP_DICT"] = "1"
-        build_kg(corpus_path, kd, n_shards=4).materialize()
-    finally:
-        if old is None:
-            os.environ.pop("GRAFT_KEEP_DICT", None)
-        else:
-            os.environ["GRAFT_KEEP_DICT"] = old
-    assert _shard_digests(flat) == _shard_digests(kd)
+def test_sort_oracle_byte_identical(ray_session, corpus_path, tmp_path):
+    """build_kg's fused two-hop exchange must write the same bytes as the
+    plain Ray composition of the same kernels: ``dedup_exact`` (groupby
+    sort shuffle) → ``add_shard_column`` → ``groupby("shard")`` →
+    ``ShardJellyWriter``."""
+    from pyjelly_ray.pipelines.kg import collect_stats, read_corpus
+    from pyjelly_ray.sinks.jelly_sink import (
+        ShardJellyWriter,
+        add_shard_column,
+        compute_shard_plan,
+    )
+
+    fused = str(tmp_path / "fused")
+    build_kg(corpus_path, fused, n_shards=4).materialize()
+
+    oracle = str(tmp_path / "oracle")
+    triples = extract_triples(read_corpus(corpus_path)).materialize()
+    _, repo_counts = collect_stats(triples)
+    _, ns, hot_plan, _ = compute_shard_plan(repo_counts, 4)
+    sharded = dedup_exact(link_triples(triples)).map_batches(
+        add_shard_column(ns, hot_plan), batch_format="pyarrow"
+    )
+    writer = ShardJellyWriter(oracle)
+
+    def write_shard(group: pa.Table) -> pa.Table:  # map_groups wants a __name__
+        return writer(group)
+
+    sharded.groupby("shard").map_groups(write_shard, batch_format="pyarrow").materialize()
+    want = _shard_digests(oracle)
+    assert len(want) >= 4
+    assert _shard_digests(fused) == want
 
 
 def test_partitioned_link_byte_identical(ray_session, corpus_path, tmp_path):

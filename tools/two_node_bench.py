@@ -7,13 +7,13 @@ inter-node transfer over loopback gRPC):
     RAY_ADDRESS= ray start --head --num-cpus=16 --port=6379 --include-dashboard=false
     RAY_ADDRESS= ray start --address=<head_ip>:6379 --num-cpus=16
 
-Usage: RAY_ADDRESS= python tools/two_node_bench.py <label> [keep_dict]
+Usage: RAY_ADDRESS= python tools/two_node_bench.py <label>
        EXPECT_NODES=1 to run the single-node control on a head-only cluster.
 
 Connects to the cluster, asserts the node count, runs build_kg at sf0.1 and
 prints one JSON line: wall, statement count, whole-output digest, per-node
 per-stage task counts (from GRAFT_TASKPROF lines, which now carry node ids).
-The digest must be IDENTICAL across node counts and keep-dict modes.
+The digest must be IDENTICAL across node counts.
 """
 import collections
 import glob
@@ -26,14 +26,11 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 label = sys.argv[1]
-if len(sys.argv) > 2 and sys.argv[2] == "keep_dict":
-    os.environ["GRAFT_KEEP_DICT"] = "1"
 import ray
 prof_pre = f"/tmp/prof_2node_{label}.jsonl"
 open(prof_pre, "w").close()
 ray.init(address="127.0.0.1:6379", ignore_reinit_error=True,
-         runtime_env={"env_vars": {"GRAFT_TASKPROF": f"/tmp/prof_2node_{label}.jsonl",
-                                   "GRAFT_KEEP_DICT": os.environ.get("GRAFT_KEEP_DICT", "0")}})
+         runtime_env={"env_vars": {"GRAFT_TASKPROF": f"/tmp/prof_2node_{label}.jsonl"}})
 nodes = [n for n in ray.nodes() if n["Alive"]]
 import os as _os
 exp = int(_os.environ.get("EXPECT_NODES", "2"))
@@ -60,7 +57,6 @@ print(json.dumps({
     "wall_sec": round(wall, 2), "n_statements": n_stmts,
     "triples_per_sec": round(n_stmts / wall, 1),
     "digest": digest[:16],
-    "keep_dict": os.environ.get("GRAFT_KEEP_DICT", "0"),
     "tasks_per_node": {k: sum(v.values()) for k, v in per_node.items()},
     "stage_split": {k: dict(v) for k, v in per_node.items()},
 }))

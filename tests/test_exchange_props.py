@@ -233,3 +233,32 @@ def test_rank_keys_order_equals_rank_key():
         .sort_by([("_r0", "ascending"), ("_r1", "ascending")])
     )
     assert joint.column("v").to_pylist() == hier.column("v").to_pylist()
+
+
+def test_str_hash_chunked_equals_flat():
+    """Shard assignment depends only on the values, not on how the batch is
+    chunked: ``_str_hash`` of a multi-chunk column equals that of the flat
+    column, and ``add_shard_column`` (with a salted hot repo) assigns the
+    same shards either way."""
+    import pyarrow as pa
+
+    from pyjelly_ray.sinks.jelly_sink import _str_hash, add_shard_column
+
+    repos = ["a", "b", "a", "c", "b", "hot", "hot", "hot"]
+    paths = [f"p{i}.py" for i in range(len(repos))]
+    flat = pa.array(repos)
+    chunked = pa.chunked_array([repos[:3], repos[3:5], repos[5:]])
+    assert _str_hash(chunked, 7).to_pylist() == _str_hash(flat, 7).to_pylist()
+
+    assign = add_shard_column(5, {"hot": (2, 3)})
+    one = assign(pa.table({"repo": flat, "path": pa.array(paths)}))
+    many = assign(
+        pa.table({
+            "repo": chunked,
+            "path": pa.chunked_array([paths[:3], paths[3:5], paths[5:]]),
+        })
+    )
+    shards = one.column("shard").to_pylist()
+    assert many.column("shard").to_pylist() == shards
+    assert all(0 <= s < 5 for s in shards)
+    assert all(2 <= s < 5 for s, r in zip(shards, repos) if r == "hot")

@@ -88,6 +88,43 @@ def test_incremental_add_only_narrowing(ray_session, corpora, tmp_path):
     assert r3["affected"] == 0 and r3["skipped"] == r3["n_total"], r3
 
 
+def test_incremental_rewrites_missing_shard(ray_session, corpora, tmp_path):
+    """A shard the delta does not touch is still rewritten when its part
+    file or its manifest is gone from disk; the directory ends up
+    byte-identical to a fresh full build."""
+    v1, v2 = corpora
+    # probe run: which shards does the v1 → v2 delta leave untouched?
+    probe = str(tmp_path / "probe")
+    incremental_build_kg(v1, probe, n_shards=N_SHARDS)
+    before = {
+        os.path.basename(p): os.path.getmtime(p)
+        for p in glob.glob(os.path.join(probe, "part-*.jelly"))
+    }
+    incremental_build_kg(v2, probe, n_shards=N_SHARDS)
+    untouched = sorted(
+        name for name, t in before.items()
+        if os.path.getmtime(os.path.join(probe, name)) == t
+    )
+    assert len(untouched) >= 2, untouched
+
+    out = str(tmp_path / "kg")
+    ref = str(tmp_path / "kg_ref")
+    incremental_build_kg(v1, out, n_shards=N_SHARDS)
+    lost_part, lost_manifest = untouched[0], untouched[1]
+    os.remove(os.path.join(out, lost_part))
+    os.remove(os.path.join(out, "manifests", lost_manifest[:-len(".jelly")] + ".json"))
+
+    r = incremental_build_kg(v2, out, n_shards=N_SHARDS)
+    assert r["mode"] == "incremental", r
+    assert 0 < r["affected"] < r["n_total"], r
+    assert os.path.exists(os.path.join(out, lost_part))
+    assert os.path.exists(
+        os.path.join(out, "manifests", lost_manifest[:-len(".jelly")] + ".json")
+    )
+    _consume(build_kg(v2, ref, n_shards=N_SHARDS))
+    assert _dir_digests(out) == _dir_digests(ref)
+
+
 def test_incremental_fallback_on_modification(ray_session, corpora, tmp_path):
     v1, _ = corpora
     out = str(tmp_path / "kg")

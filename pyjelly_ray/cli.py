@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     b.add_argument("--out", required=True)
     b.add_argument("--shards", type=int, default=16)
     b.add_argument("--prune", action="store_true",
-                   help="after an incremental rebuild, delete shards the new corpus no longer populates")
+                   help="after a rebuild (full or --incremental), delete shards the new corpus no longer populates")
     b.add_argument("--incremental", action="store_true",
                    help="symbol-delta narrowed rebuild: skip shards an "
                         "add-only corpus delta provably cannot touch "
@@ -108,23 +108,19 @@ def main(argv=None) -> int:
         if args.incremental:
             from .pipelines.kg import incremental_build_kg
 
-            res = incremental_build_kg(args.corpus, args.out, n_shards=args.shards)
-            print(json.dumps(res))
-            if own:
-                ray.shutdown()
-            return 0
-        from .pipelines.kg import build_kg
+            out = incremental_build_kg(args.corpus, args.out, n_shards=args.shards)
+            live = set(out.pop("live_shards"))
+        else:
+            from .pipelines.kg import build_kg
 
-        manifests = build_kg(args.corpus, args.out, n_shards=args.shards).take_all()
-        pruned = []
+            manifests = build_kg(args.corpus, args.out, n_shards=args.shards).take_all()
+            live = {m["shard"] for m in manifests}
+            out = {"shards": len(manifests),
+                   "n_statements": sum(m["n_statements"] for m in manifests)}
         if args.prune:
             from .state.manifest import prune_orphans
 
-            pruned = prune_orphans(args.out, {m["shard"] for m in manifests})
-        out = {"shards": len(manifests),
-               "n_statements": sum(m["n_statements"] for m in manifests)}
-        if args.prune:
-            out["pruned"] = pruned
+            out["pruned"] = prune_orphans(args.out, live)
         print(json.dumps(out))
         if own:
             ray.shutdown()

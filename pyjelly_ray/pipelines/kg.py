@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..jelly.options import StreamOptions
 from ..stages.extract import extract_batch, ingest_sha256
-from ..stages.link import SymbolLinker, collect_symbol_dict, prepare_link_index
+from ..stages.link import make_linker_task, prepare_link_index
 
 
 def read_corpus(path, columns=None, override_num_blocks: int | None = None):
@@ -84,49 +84,17 @@ def extract_triples(corpus_ds, *, batch_size: int | None = None):
     return hashed.map_batches(extract_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def link_triples(triples_ds, *, use_actors: bool = False, concurrency=(2, 8)):
-    """Two passes over the triple stream: small-side dict build + broadcast link.
+def link_triples(triples_ds):
+    """Link a triple stream on its own (outside the fused exchange).
 
-    The dict pass combines down to ≤|symbols| rows; the link pass reads the
-    ``ray.put`` dict from the object store (task path by default — zero
-    warm-up; set ``use_actors=True`` for the actor-pool variant when the
-    setup cost amortizes, e.g. a model-backed linker).
-
-    Broadcast overflow (symbol cardinality past GRAFT_LINK_BROADCAST_MAX —
-    hundreds of millions of names, where a per-node copy of the index no
-    longer fits): the dictionary stays a hash-partitioned Dataset and
-    linking runs through co-partitioned joins instead
-    (:func:`~pyjelly_ray.stages.link.link_triples_partitioned`).
+    The same path :func:`build_kg` runs inside its exchange: one stats
+    scan folds the symbol table on the Ray driver, the hash-sorted index is
+    ``ray.put`` once, and every linker task reads it zero-copy from plasma.
     """
     import ray
 
-    from ..stages.link import (
-        collect_symbol_dict_ds,
-        link_broadcast_max,
-        link_triples_partitioned,
-        make_linker_task,
-        prepare_link_index,
-    )
-
-    limit = link_broadcast_max()
-    if limit <= 0:  # forced partitioned path (tests / extreme deployments)
-        return link_triples_partitioned(
-            triples_ds, collect_symbol_dict_ds(triples_ds)
-        )
-    sym_table = collect_symbol_dict(triples_ds)  # Arrow (name, iri), sorted
-    if sym_table.num_rows > limit:
-        return link_triples_partitioned(
-            triples_ds, ray.data.from_arrow(sym_table)
-        )
-
-    sym_ref = ray.put(prepare_link_index(sym_table))  # hash-sorted, built once
-    if use_actors:
-        return triples_ds.map_batches(
-            SymbolLinker,
-            fn_constructor_args=(sym_ref,),
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
+    sym_table, _ = collect_stats(triples_ds)
+    sym_ref = ray.put(prepare_link_index(sym_table))
     return triples_ds.map_batches(make_linker_task(sym_ref), batch_format="pyarrow")
 
 
@@ -215,33 +183,24 @@ def _stats_batch_reg(batch):
 def _merge_stats(*tables):
     """Combine union stats tables: min(iri) per symbol name, sum(cnt) per
     repo — associative, so it serves as both the tree-merge kernel and the
-    final driver combine.  Polars does the group_by when available (4×
-    faster than Arrow's on the 2.6M-row string-keyed driver merge — 1.45 s
-    → 0.35 s at sf0.1, r4 profile); output schema is pinned back to the
-    Arrow input schema so both paths are interchangeable (values agree:
-    lexicographic string min, int sum over the non-null kind)."""
+    final driver combine.  Polars does the group_by (4× faster than
+    Arrow's on the 2.6M-row string-keyed driver merge — 1.45 s → 0.35 s at
+    sf0.1, r4 profile); the output schema is pinned back to the input's."""
+    import polars as pl
     import pyarrow as pa
 
     live = [t for t in tables if t.num_rows]
     if not live:
         return tables[0]
     t = pa.concat_tables(live, promote_options="default")
-    try:
-        import polars as pl
-
-        g = (
-            pl.from_arrow(t)
-            .group_by(["kind", "name"])
-            .agg(pl.col("iri").min(), pl.col("cnt").sum())
-            .to_arrow()
-            .select(["kind", "name", "iri", "cnt"])
-        )
-        return g.cast(t.schema)
-    except ImportError:
-        g = t.group_by(["kind", "name"]).aggregate([("iri", "min"), ("cnt", "sum")])
-        return g.select(["kind", "name", "iri_min", "cnt_sum"]).rename_columns(
-            ["kind", "name", "iri", "cnt"]
-        )
+    g = (
+        pl.from_arrow(t)
+        .group_by(["kind", "name"])
+        .agg(pl.col("iri").min(), pl.col("cnt").sum())
+        .to_arrow()
+        .select(["kind", "name", "iri", "cnt"])
+    )
+    return g.cast(t.schema)
 
 
 def collect_stats(triples_ds, *, use_refs: bool | None = None,
@@ -317,6 +276,14 @@ def build_kg(
 ):
     """Full pipeline; returns the manifest Dataset (consuming it runs the job).
 
+    Linking has one path, shared with :func:`link_triples` and
+    :func:`incremental_build_kg`: ``collect_stats`` folds the symbol table
+    on the Ray driver, :func:`~pyjelly_ray.stages.link.prepare_link_index`
+    builds the hash-sorted index once, and the linker runs inside the
+    exchange's map tasks, reading that index zero-copy from plasma (one
+    copy per node).  The symbol table must therefore fit on the Ray driver and
+    in each node's object store.
+
     Two memory strategies, both with ONE combined stats scan (symbol
     dictionary + hot-repo counts):
 
@@ -333,37 +300,12 @@ def build_kg(
     import ray
 
     from ..sinks.jelly_sink import dedup_and_write_kg_shards
-    from ..stages.link import make_linker_task
 
     corpus = read_corpus(corpus_path)
     triples = extract_triples(corpus)
     if materialize_triples:
         triples = triples.materialize()
-    from ..stages.link import link_broadcast_max
-
-    limit = link_broadcast_max()
-    sym_table = repo_counts = None
-    if limit > 0:
-        sym_table, repo_counts = collect_stats(triples)
-    if limit <= 0 or sym_table.num_rows > limit:
-        # broadcast-overflow posture: symbol dictionary stays distributed,
-        # linking runs through co-partitioned joins; byte-identical shards
-        # (writer sort is deterministic) — pinned in tests
-        from ..sinks.jelly_sink import collect_repo_counts
-        from ..stages.link import collect_symbol_dict_ds, link_triples_partitioned
-
-        if repo_counts is None:
-            repo_counts = collect_repo_counts(triples)
-        sym_ds = (
-            ray.data.from_arrow(sym_table)
-            if sym_table is not None
-            else collect_symbol_dict_ds(triples)
-        )
-        linked = link_triples_partitioned(triples, sym_ds)
-        return dedup_and_write_kg_shards(
-            linked, out_dir, n_shards=n_shards, options=jelly_options,
-            repo_counts=repo_counts,
-        )
+    sym_table, repo_counts = collect_stats(triples)
     # hash-sorted index built ONCE — as a Ray task, so the ~0.6 s build
     # overlaps the exchange launch instead of blocking the driver (the
     # linker tasks ray.get the ref either way; task-output refs and
@@ -399,12 +341,13 @@ def incremental_build_kg(
     row_xor skip still applies).
 
     CONSUMES the pipeline (unlike :func:`build_kg`, which returns lazily)
-    and persists the new state; returns a summary dict.
+    and persists the new state; returns a summary dict whose
+    ``live_shards`` lists the shard ids the new corpus populates (what
+    ``state.manifest.prune_orphans`` keeps).
     """
     import ray
 
     from ..sinks.jelly_sink import compute_shard_plan, dedup_and_write_kg_shards
-    from ..stages.link import link_broadcast_max, make_linker_task
     from ..state import incremental as inc
 
     options = jelly_options or StreamOptions()
@@ -412,46 +355,26 @@ def incremental_build_kg(
 
     corpus = read_corpus(corpus_path)
     triples = extract_triples(corpus).materialize()
-    limit = link_broadcast_max()
-    sym_table = repo_counts = new_registry = None
-    if limit > 0:
-        # ONE scan: symbol dict + repo counts + file registry together
-        sym_table, repo_counts, new_registry = collect_stats(
-            triples, with_registry=True
-        )
-    nb = ns = hp = n_total = None
-    if sym_table is not None and sym_table.num_rows <= limit:
-        nb, ns, hp, n_total = compute_shard_plan(repo_counts, n_shards)
-    plan_dict = (
-        {
-            "n_shards_arg": n_shards, "n_shards": ns, "n_buckets": nb,
-            "hot_plan": {k: list(v) for k, v in (hp or {}).items()},
-            "n_total": n_total, "options": repr(options),
-        }
-        if n_total is not None
-        else None
-    )
+    # ONE scan: symbol dict + repo counts + file registry together
+    sym_table, repo_counts, new_registry = collect_stats(triples, with_registry=True)
+    nb, ns, hp, n_total = compute_shard_plan(repo_counts, n_shards)
+    plan_dict = {
+        "n_shards_arg": n_shards, "n_shards": ns, "n_buckets": nb,
+        "hot_plan": {k: list(v) for k, v in hp.items()},
+        "n_total": n_total, "options": repr(options),
+    }
+    new_sym_ref = ray.put(prepare_link_index(sym_table))
 
     def full(reason: str) -> dict:
-        new_sym_ref = None
-        if n_total is not None:
-            new_sym_ref = ray.put(prepare_link_index(sym_table))
-            manifests = dedup_and_write_kg_shards(
-                triples, out_dir, n_shards=n_shards, options=jelly_options,
-                repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
-            )
-        else:  # non-broadcast posture: delegate to build_kg's fallback paths
-            manifests = build_kg(
-                corpus_path, out_dir, n_shards=n_shards, jelly_options=jelly_options
-            )
-        n = sum(b.num_rows for b in manifests.iter_batches(batch_format="pyarrow"))
-        if plan_dict is not None:  # state only valid for the broadcast path
-            inc.persist_state(out_dir, sym_table, new_registry, plan_dict)
-        return {"mode": "full", "reason": reason, "shards_written": n,
-                "n_total": n_total if n_total is not None else n}
+        manifests = dedup_and_write_kg_shards(
+            triples, out_dir, n_shards=n_shards, options=jelly_options,
+            repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
+        )
+        rows = manifests.take_all()
+        inc.persist_state(out_dir, sym_table, new_registry, plan_dict)
+        return {"mode": "full", "reason": reason, "shards_written": len(rows),
+                "n_total": n_total, "live_shards": sorted(r["shard"] for r in rows)}
 
-    if n_total is None:
-        return full("non-broadcast posture (no narrowing)")
     if state is None:
         return full("no previous state")
     old_sym, old_registry, old_plan = state
@@ -464,7 +387,6 @@ def incremental_build_kg(
         return full("shard plan changed")
 
     changed_names = inc.symbol_delta(old_sym, sym_table)
-    new_sym_ref = ray.put(prepare_link_index(sym_table))
     old_sym_ref = ray.put(prepare_link_index(old_sym))
     delta_keys = inc.collect_delta_keys(
         triples, added_shas, changed_names, new_sym_ref, old_sym_ref, nb
@@ -492,6 +414,7 @@ def incremental_build_kg(
         "changed_names": len(changed_names),
         "delta_keys": int(len(delta_keys)),
         "shards_written": written,
+        "live_shards": sorted(r["shard"] for r in rows),
     }
 
 
@@ -516,18 +439,13 @@ def kg_symbol_pagerank(
     """
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
     from ..stages.agg import global_topk, grouped_agg
     from ..stages.extract import ONT
     from ..stages.graph import pagerank
-    from ..stages.link import make_linker_task
 
     corpus = read_corpus(corpus_path)
-    triples = extract_triples(corpus).materialize()
-    sym_table, _ = collect_stats(triples)
-    sym_ref = ray.put(prepare_link_index(sym_table))
-    linked = triples.map_batches(make_linker_task(sym_ref), batch_format="pyarrow")
+    linked = link_triples(extract_triples(corpus).materialize())
 
     wanted = pa.array([ONT + p for p in predicates])
 

@@ -388,29 +388,6 @@ class ShardJellyWriter:
         return pa.Table.from_pylist([manifest], schema=MANIFEST_SCHEMA)
 
 
-def collect_repo_counts(triples_ds) -> dict[str, int]:
-    """Per-repo statement counts: per-batch combine + vectorized driver merge
-    (no shuffle; the merge is one Arrow group_by over ≤|repos|×blocks rows)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["repo"]).aggregate([("repo", "count")])
-        return g.select(["repo", "repo_count"])
-
-    tables = [
-        b for b in triples_ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        )
-        if b.num_rows
-    ]
-    if not tables:
-        return {}
-    merged = pa.concat_tables(tables, promote_options="default")
-    g = merged.group_by(["repo"]).aggregate([("repo_count", "sum")])
-    return dict(
-        zip(g.column("repo").to_pylist(), g.column("repo_count_sum").to_pylist())
-    )
-
-
 def hot_repo_splits(
     repo_counts: dict[str, int], n_shards: int
 ) -> dict[str, tuple[int, int]]:
@@ -499,30 +476,24 @@ def add_shard_column(n_shards: int, hot_plan: dict[str, tuple[int, int]] | None 
     return _assign
 
 
-def compute_shard_plan(repo_counts, n_shards: int, *, n_buckets=None, ds=None):
+def compute_shard_plan(repo_counts, n_shards: int):
     """The fused sink's sizing decisions, extracted so the incremental
     narrowing (state/incremental.py) can compute and compare plans without
-    running the exchange.  Returns (n_buckets, n_shards, hot_plan, n_total).
+    running the exchange.  ``repo_counts`` is the per-repo pre-dedup
+    statement count from ``collect_stats``.  Returns (n_buckets, n_shards,
+    hot_plan, n_total).
     """
-    from ..stages.dedup import auto_buckets
-
-    total = sum(repo_counts.values()) if repo_counts else None
-    if n_buckets is None:
-        # adaptive fan-out: ~200k statements per dedup bucket, else per-object
-        # overhead dominates small inputs (measured: 64 buckets cost ~9 s of
-        # pure scheduling at 307k rows).  repo_counts gives the exact
-        # pre-dedup statement count when available.  The cap must be LARGE:
-        # capping at 64 made per-bucket rows grow with the corpus, turning
-        # the dedup reduce superlinear under concurrency (measured 13.6×
-        # task time at 2× corpus — working sets blow past the shared LLC).
-        # 1024 buckets × ~200k rows ≈ 200M statements per job; beyond that,
-        # raise the cap or split the input (buckets are hash-disjoint, so
-        # jobs over key ranges compose).
-        n_buckets = (
-            min(1024, max(8, int(total // 200_000) + 1))
-            if total
-            else auto_buckets(ds=ds)
-        )
+    repo_counts = repo_counts or {}
+    total = sum(repo_counts.values())
+    # adaptive fan-out: ~200k statements per dedup bucket, else per-object
+    # overhead dominates small inputs (measured: 64 buckets cost ~9 s of
+    # pure scheduling at 307k rows).  The cap must be LARGE: capping at 64
+    # made per-bucket rows grow with the corpus, turning the dedup reduce
+    # superlinear under concurrency (measured 13.6× task time at 2× corpus
+    # — working sets blow past the shared LLC).  1024 buckets × ~200k rows
+    # ≈ 200M statements per job; beyond that, raise the cap or split the
+    # input (buckets are hash-disjoint, so jobs over key ranges compose).
+    n_buckets = min(1024, max(8, int(total // 200_000) + 1))
     if total:
         # size-aware fan-out: the per-shard encode is a sequential fold (format
         # design), so the LARGEST shard bounds the write wall; target ~250k
@@ -539,7 +510,7 @@ def compute_shard_plan(repo_counts, n_shards: int, *, n_buckets=None, ds=None):
         # the only cost is per-file overhead)
         max_shards = int(os.environ.get("GRAFT_MAX_SHARDS", "2048"))
         n_shards = max(n_shards, min(int(total // target) + 1, max_shards))
-    hot_plan = hot_repo_splits(repo_counts, n_shards) if repo_counts else None
+    hot_plan = hot_repo_splits(repo_counts, n_shards)
     return n_buckets, n_shards, hot_plan, total_shard_count(n_shards, hot_plan)
 
 
@@ -549,7 +520,6 @@ def dedup_and_write_kg_shards(
     n_shards: int = 16,
     options: StreamOptions | None = None,
     repo_counts: dict[str, int] | None = None,
-    n_buckets: int | None = None,
     pre_map=None,
     inc_keys=None,
 ):
@@ -567,9 +537,7 @@ def dedup_and_write_kg_shards(
     from ..stages.dedup import add_tkey, dedup_block
     from ..state.exchange import fused_two_hop_exchange
 
-    n_buckets, n_shards, hot_plan, n_total = compute_shard_plan(
-        repo_counts, n_shards, n_buckets=n_buckets, ds=ds
-    )
+    n_buckets, n_shards, hot_plan, n_total = compute_shard_plan(repo_counts, n_shards)
     assign = add_shard_column(n_shards, hot_plan)
     writer = ShardJellyWriter(out_dir, options)
 

@@ -3,12 +3,15 @@
 Maps ``unlinked:NAME`` mention objects (imports → module names, calls →
 function names) to canonical symbol IRIs via a shared symbol table.
 
-Ray mapping: the table is the SMALL side — built with per-batch combine +
-driver fold, broadcast once via ``ray.put`` as an **Arrow table** (plasma,
-zero-copy, OFF the Python heap — a multi-hundred-thousand-entry Python dict
-per worker poisons the GC for every later task; measured 10× slowdown of
-unrelated stages), and resolved per batch with vectorized ``pc.index_in`` +
-``pc.take`` — never re-shipped per batch, never a shuffle join.
+Ray mapping: the table is the SMALL side — candidates are combined per
+batch and folded on the Ray driver by ``pipelines.kg.collect_stats``, turned
+into a hash-sorted index by :func:`prepare_link_index`, and broadcast once
+as an **Arrow table** in plasma: one zero-copy copy per node, OFF the
+Python heap (a multi-hundred-thousand-entry Python dict per worker poisons
+the GC for every later task; measured 10× slowdown of unrelated stages).
+Each task resolves its batch against it with ``np.searchsorted`` — never
+re-shipped per batch, never a shuffle join.  The ceiling is therefore the
+symbol table fitting on the Ray driver and in each node's object store.
 
 Canonical resolution is deterministic (lexicographically smallest defining
 IRI), so tasks agree without coordination (SURVEY.md §2.3 requirement).
@@ -25,7 +28,7 @@ EXTERN_PREFIX = f"{BASE}/extern/"
 
 
 def build_symbol_dict_batch(batch: pa.Table) -> pa.Table:
-    """map_batches stage: emit (name, iri) candidate pairs from type triples.
+    """Per-batch symbol candidates: (name, iri) pairs from type triples.
 
     Modules contribute their dotted name; functions/classes their bare name.
     Fully vectorized (regex field extraction, no per-row Python).
@@ -55,163 +58,6 @@ def _batch_min_by_name(batch: pa.Table) -> pa.Table:
         return batch
     g = batch.group_by(["name"]).aggregate([("iri", "min")])
     return g.select(["name", "iri_min"]).rename_columns(["name", "iri"])
-
-
-def collect_symbol_dict(triples_ds) -> pa.Table:
-    """Build the canonical symbol mapping (the broadcast small side).
-
-    Candidates are combined per batch (min per name), then the ≤|symbols|
-    rows stream to the driver where the global min-merge happens with ONE
-    vectorized Arrow group_by (multi-threaded; a Python dict fold here was
-    the serial bottleneck at millions of symbols).  Returns a sorted Arrow
-    table (name, iri) — off-heap, broadcast-ready.  The mapping must fit in
-    memory regardless (it is broadcast to every worker), so this adds no
-    new scale limit.
-    """
-    small = triples_ds.map_batches(build_symbol_dict_batch, batch_format="pyarrow").map_batches(
-        _batch_min_by_name, batch_format="pyarrow"
-    )
-    tables = [b for b in small.iter_batches(batch_format="pyarrow") if b.num_rows]
-    if not tables:
-        return pa.table({"name": pa.array([], pa.string()), "iri": pa.array([], pa.string())})
-    merged = pa.concat_tables(tables, promote_options="default")
-    g = merged.group_by(["name"]).aggregate([("iri", "min")])
-    g = g.select(["name", "iri_min"]).rename_columns(["name", "iri"])
-    return g.sort_by([("name", "ascending")])
-
-
-def symbols_to_table(symbols: dict[str, str]) -> pa.Table:
-    """Mapping → Arrow table, sorted by key (deterministic broadcast bytes)."""
-    keys = sorted(symbols)
-    return pa.table(
-        {
-            "name": pa.array(keys, pa.string()),
-            "iri": pa.array([symbols[k] for k in keys], pa.string()),
-        }
-    )
-
-
-#: broadcast ceiling (symbol-table rows).  Below it the hash-sorted index is
-#: ``ray.put`` once and read zero-copy by every task (the fast path); above
-#: it broadcast itself breaks (every worker would hold the full table), so
-#: linking falls back to co-partitioned joins.  Env-tunable:
-#: GRAFT_LINK_BROADCAST_MAX (=0 forces the partitioned path, for tests).
-DEFAULT_LINK_BROADCAST_MAX = 50_000_000
-
-
-def link_broadcast_max() -> int:
-    import os
-
-    return int(
-        os.environ.get("GRAFT_LINK_BROADCAST_MAX", str(DEFAULT_LINK_BROADCAST_MAX))
-    )
-
-
-def collect_symbol_dict_ds(triples_ds, *, num_partitions: int | None = None):
-    """Distributed variant of :func:`collect_symbol_dict`: the canonical
-    (name, iri) mapping as a hash-partitioned Dataset — nothing funnels
-    through the driver, so symbol cardinality is unbounded.  Used by the
-    broadcast-overflow linking fallback."""
-    from .agg import grouped_agg
-
-    cand = triples_ds.map_batches(
-        build_symbol_dict_batch, batch_format="pyarrow"
-    ).map_batches(_batch_min_by_name, batch_format="pyarrow")
-    return grouped_agg(
-        cand, ["name"], [("iri", "iri", "min")], num_partitions=num_partitions
-    )
-
-
-def link_triples_partitioned(triples_ds, sym_ds, *, num_partitions: int | None = None):
-    """Broadcast-overflow linking (SURVEY §2.3 at extreme symbol cardinality).
-
-    Same resolution function as the broadcast path (exact name hit, else
-    bare last-dotted-segment hit, else extern IRI) computed with
-    co-partitioned hash joins instead of a per-task broadcast index:
-
-      1. distinct ``unlinked:`` names (hash-partitioned distinct — the name
-         set is never collected anywhere)
-      2. name → iri: two left joins against ``sym_ds`` (exact, then bare),
-         finished per partition with the extern coalesce
-      3. triples left-join that ≤|names| resolution table on the stripped
-         name; ``o_value`` is replaced inside the join reduce (``post=``),
-         so the joined rows never re-exchange
-
-    Output is multiset-identical to the broadcast path; row ORDER differs
-    (join partitioning), which the KG writer's deterministic per-shard sort
-    erases — end-to-end shard bytes are identical (pinned in tests).
-    """
-    from ..state.exchange import default_partitions
-    from .agg import grouped_agg
-    from .joins import hash_join
-
-    num_partitions = num_partitions or default_partitions()
-
-    def names_batch(b: pa.Table) -> pa.Table:
-        o = _one_chunk(b.column("o_value"))
-        u = pc.unique(o.filter(pc.starts_with(o, "unlinked:")))
-        return pa.table({"name": pc.utf8_slice_codeunits(u, 9)})
-
-    names = grouped_agg(
-        triples_ds.map_batches(names_batch, batch_format="pyarrow"),
-        ["name"],
-        [],
-        num_partitions=num_partitions,
-    )
-
-    def add_bare(b: pa.Table) -> pa.Table:
-        bare = pc.struct_field(
-            pc.extract_regex(b.column("name"), r"(?P<last>[^.]*)$"), "last"
-        )
-        return b.append_column("__bare", bare)
-
-    names = names.map_batches(add_bare, batch_format="pyarrow")
-    r1 = hash_join(
-        names, sym_ds, left_key="name", how="left outer",
-        num_partitions=num_partitions,
-    )
-
-    def rename_sym(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["__bname", "__biri"])
-
-    sym2 = sym_ds.map_batches(rename_sym, batch_format="pyarrow")
-
-    def finish_resolution(b: pa.Table) -> pa.Table:
-        extern = pc.binary_join_element_wise(
-            pa.array([EXTERN_PREFIX] * b.num_rows, pa.string()),
-            b.column("name"),
-            "",
-        )
-        iri = pc.coalesce(b.column("iri"), b.column("__biri"), extern)
-        return pa.table({"name": b.column("name"), "__res_iri": iri})
-
-    resolution = hash_join(
-        r1, sym2, left_key="__bare", right_key="__bname", how="left outer",
-        num_partitions=num_partitions, post=finish_resolution,
-    )
-
-    def add_key(b: pa.Table) -> pa.Table:
-        o = b.column("o_value")
-        if isinstance(o, pa.ChunkedArray):
-            o = o.combine_chunks()
-        mask = pc.starts_with(o, "unlinked:")
-        key = pc.if_else(
-            mask, pc.utf8_slice_codeunits(o, 9), pa.scalar(None, pa.string())
-        )
-        return b.append_column("__link_name", key)
-
-    tk = triples_ds.map_batches(add_key, batch_format="pyarrow")
-
-    def fix(b: pa.Table) -> pa.Table:
-        o = pc.coalesce(b.column("__res_iri"), pc.cast(b.column("o_value"), pa.string()))
-        idx = b.schema.get_field_index("o_value")
-        b = b.set_column(idx, "o_value", o)
-        return b.drop_columns(["__link_name", "__res_iri"])
-
-    return hash_join(
-        tk, resolution, left_key="__link_name", right_key="name",
-        how="left outer", num_partitions=num_partitions, post=fix,
-    )
 
 
 _LINK_SEED = 17
@@ -343,27 +189,6 @@ def _link_batch(sym_table: pa.Table, batch: pa.Table) -> pa.Table:
     out = batch.set_column(idx, "o_value", new_values)
     _prof("lk_take", t0, batch.num_rows, c0)
     return out
-
-
-class SymbolLinker:
-    """Actor-pool stage variant: Arrow symbol table resolved once per actor."""
-
-    def __init__(self, sym) -> None:
-        try:
-            import ray
-
-            if isinstance(sym, ray.ObjectRef):
-                sym = ray.get(sym)
-        except ImportError:
-            pass
-        if isinstance(sym, dict):
-            sym = symbols_to_table(sym)
-        if "hname" not in sym.column_names:
-            sym = prepare_link_index(sym)  # once per actor
-        self.sym_table: pa.Table = sym
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _link_batch(self.sym_table, batch)
 
 
 def make_linker_task(sym_ref):

@@ -95,31 +95,22 @@ def load_state(out_dir: str):
 def _anti(left: pa.Table, right: pa.Table, on: list[str]) -> pa.Table:
     """Rows of ``left`` with no match in ``right`` on ``on`` — polars anti
     join (multithreaded hash join; ~5× the Arrow index_in chain on the
-    1.9M-row registries), Arrow fallback pinned value-identical."""
-    try:
-        import polars as pl
+    1.9M-row registries)."""
+    import polars as pl
 
-        out = (
-            pl.from_arrow(left.select(on).cast(pa.schema([(c, pa.string()) for c in on])))
-            .with_row_index("_i")
-            .join(
-                pl.from_arrow(
-                    right.select(on).cast(pa.schema([(c, pa.string()) for c in on]))
-                ),
-                on=on,
-                how="anti",
-            )
+    out = (
+        pl.from_arrow(left.select(on).cast(pa.schema([(c, pa.string()) for c in on])))
+        .with_row_index("_i")
+        .join(
+            pl.from_arrow(
+                right.select(on).cast(pa.schema([(c, pa.string()) for c in on]))
+            ),
+            on=on,
+            how="anti",
         )
-        idx = out.get_column("_i").to_numpy()
-        return left.take(pa.array(idx))
-    except ImportError:
-        lk = pc.binary_join_element_wise(
-            *[left.column(c).cast(pa.string()) for c in on], "\x1f"
-        )
-        rk = pc.binary_join_element_wise(
-            *[right.column(c).cast(pa.string()) for c in on], "\x1f"
-        )
-        return left.filter(pc.is_null(pc.index_in(lk, value_set=rk)))
+    )
+    idx = out.get_column("_i").to_numpy()
+    return left.take(pa.array(idx))
 
 
 def registry_delta(old: pa.Table, new: pa.Table):

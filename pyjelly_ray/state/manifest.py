@@ -42,6 +42,14 @@ def summarize(out_dir: str) -> dict:
     }
 
 
+def _part_path(out_dir: str, shard: str) -> str:
+    """Part file of ``shard`` inside ``out_dir``.  Derived rather than read
+    from the manifest's absolute ``path``: that path is recorded at write
+    time, so after the output directory is moved or copied it points at
+    the old location (or at nothing)."""
+    return os.path.join(out_dir, f"part-{shard}.jelly")
+
+
 def pending_shards(out_dir: str, expected: dict[str, str]) -> list[str]:
     """Shards whose manifest is missing or whose fingerprint differs.
 
@@ -54,7 +62,7 @@ def pending_shards(out_dir: str, expected: dict[str, str]) -> list[str]:
         if (
             m is None
             or m.get("sha256_xor") != fp
-            or not os.path.exists(m.get("path", ""))
+            or not os.path.exists(_part_path(out_dir, shard))
         ):
             todo.append(shard)
     return sorted(todo)
@@ -75,12 +83,7 @@ def prune_orphans(out_dir: str, live_shards: set[str]) -> list[str]:
             m = json.load(f)
         if m.get("shard") in live_shards:
             continue
-        # derive the part path from out_dir + shard id rather than trusting
-        # the absolute path recorded at write time: if the output directory
-        # was moved/copied, the recorded path may point elsewhere (or at
-        # nothing), leaving a stale part-*.jelly behind in out_dir that
-        # readers would still glob.
-        part = os.path.join(out_dir, f"part-{m.get('shard')}.jelly")
+        part = _part_path(out_dir, m.get("shard"))
         if os.path.exists(part):
             os.unlink(part)
         os.unlink(path)
@@ -93,7 +96,7 @@ def validate_invariants(out_dir: str, *, decode: bool = False) -> dict:
     manifests = load_manifests(out_dir)
     problems = []
     for m in manifests:
-        path = m.get("path", "")
+        path = _part_path(out_dir, m["shard"])
         if not os.path.exists(path):
             problems.append({"shard": m["shard"], "error": "missing file"})
             continue

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
+import os
+import shutil
 
 import pytest
 
@@ -49,6 +53,65 @@ def test_pending_shards(kg_out):
     victim = manifests[0]["shard"]
     expected[victim] = "0" * 64
     assert pending_shards(kg_out, expected) == [victim]
+
+
+def test_manifest_checks_follow_a_copied_out_dir(ray_session, tmp_path):
+    """Manifests record the absolute part path at write time; validation
+    and resume planning must check the files of the directory they are
+    given, so a copied or moved output directory is judged on its own."""
+    from pyjelly_ray.pipelines.kg import build_kg
+
+    corpus = str(tmp_path / "corpus.parquet")
+    write_corpus_parquet(corpus, seed=11, n_files=60)
+    orig = str(tmp_path / "orig")
+    build_kg(corpus, orig, n_shards=4).materialize()
+
+    damaged = str(tmp_path / "damaged")
+    shutil.copytree(orig, damaged)
+    victim = load_manifests(damaged)[0]["shard"]
+    with open(os.path.join(damaged, f"part-{victim}.jelly"), "r+b") as f:
+        f.truncate(10)
+    result = validate_invariants(damaged)
+    assert not result["ok"]
+    assert [p["shard"] for p in result["problems"]] == [victim]
+
+    moved = str(tmp_path / "moved")
+    shutil.copytree(orig, moved)
+    shutil.rmtree(orig)
+    result = validate_invariants(moved, decode=True)
+    assert result["ok"], result["problems"]
+    expected = {m["shard"]: m["sha256_xor"] for m in load_manifests(moved)}
+    assert pending_shards(moved, expected) == []
+
+
+def test_cli_incremental_prune_matches_fresh_build(ray_session, tmp_path, capsys):
+    """``build-kg --incremental --prune`` after the corpus shrinks leaves
+    the same part files, with the same bytes, as a fresh build."""
+    big = str(tmp_path / "big.parquet")
+    small = str(tmp_path / "small.parquet")
+    write_corpus_parquet(big, seed=7, n_files=300)
+    write_corpus_parquet(small, seed=7, n_files=8)
+
+    def build(corpus, out, *flags):
+        args = ["build-kg", "--corpus", corpus, "--out", out, "--shards", "16"]
+        assert cli_main(args + list(flags)) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    def digests(d):
+        return {
+            os.path.basename(f): hashlib.sha256(open(f, "rb").read()).hexdigest()
+            for f in glob.glob(os.path.join(d, "part-*.jelly"))
+        }
+
+    out = str(tmp_path / "kg")
+    build(big, out, "--incremental")
+    before = digests(out)
+    res = build(small, out, "--incremental", "--prune")
+    fresh = str(tmp_path / "fresh")
+    build(small, fresh)
+    assert res["pruned"], "the shrink should orphan at least one shard"
+    assert len(before) > len(digests(fresh))
+    assert digests(out) == digests(fresh)
 
 
 def test_cli_validate_and_roundtrip(kg_out, capsys):

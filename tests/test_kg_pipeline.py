@@ -390,84 +390,6 @@ def test_sort_oracle_byte_identical(ray_session, corpus_path, tmp_path):
     assert _shard_digests(fused) == want
 
 
-def test_partitioned_link_byte_identical(ray_session, corpus_path, tmp_path):
-    """GRAFT_LINK_BROADCAST_MAX=0 (broadcast-overflow posture: the symbol
-    dictionary stays a hash-partitioned Dataset and linking runs through
-    co-partitioned joins) must produce byte-identical shards — and the
-    linked triple MULTISET must equal the broadcast path's."""
-    bc = str(tmp_path / "bc")
-    pt = str(tmp_path / "pt")
-    old = os.environ.get("GRAFT_LINK_BROADCAST_MAX")
-    try:
-        os.environ.pop("GRAFT_LINK_BROADCAST_MAX", None)
-        build_kg(corpus_path, bc, n_shards=4).materialize()
-        os.environ["GRAFT_LINK_BROADCAST_MAX"] = "0"
-        build_kg(corpus_path, pt, n_shards=4).materialize()
-
-        # direct operator-level check too: linked multiset identical
-        from pyjelly_ray.pipelines.kg import extract_triples, read_corpus
-
-        triples = extract_triples(read_corpus(corpus_path)).materialize()
-
-        def multiset(ds):
-            import collections
-
-            c = collections.Counter()
-            for b in ds.iter_batches(batch_format="pyarrow"):
-                c.update(
-                    zip(
-                        b.column("s_value").to_pylist(),
-                        b.column("p_value").to_pylist(),
-                        b.column("o_value").to_pylist(),
-                    )
-                )
-            return c
-
-        part = multiset(link_triples(triples))
-        os.environ.pop("GRAFT_LINK_BROADCAST_MAX", None)
-        bcast = multiset(link_triples(triples))
-        assert part == bcast and sum(part.values()) > 0
-    finally:
-        if old is None:
-            os.environ.pop("GRAFT_LINK_BROADCAST_MAX", None)
-        else:
-            os.environ["GRAFT_LINK_BROADCAST_MAX"] = old
-    assert _shard_digests(bc) == _shard_digests(pt)
-
-
-def test_partitioned_link_over_limit_gate(ray_session, corpus_path):
-    """A limit of 1 (collected table exists but exceeds the broadcast
-    ceiling) must also route through the partitioned path and resolve
-    identically."""
-    from pyjelly_ray.pipelines.kg import extract_triples, read_corpus
-
-    triples = extract_triples(read_corpus(corpus_path)).materialize()
-
-    def sets(ds):
-        out = set()
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            out.update(
-                zip(
-                    b.column("s_value").to_pylist(),
-                    b.column("p_value").to_pylist(),
-                    b.column("o_value").to_pylist(),
-                )
-            )
-        return out
-
-    old = os.environ.get("GRAFT_LINK_BROADCAST_MAX")
-    try:
-        os.environ["GRAFT_LINK_BROADCAST_MAX"] = "1"
-        got = sets(link_triples(triples))
-    finally:
-        if old is None:
-            os.environ.pop("GRAFT_LINK_BROADCAST_MAX", None)
-        else:
-            os.environ["GRAFT_LINK_BROADCAST_MAX"] = old
-    want = sets(link_triples(triples))
-    assert got == want and len(got) > 0
-
-
 def test_incremental_rebuild_appended_corpus(ray_session, tmp_path):
     """Incremental KG rebuild (VERDICT r2 stretch #8): append files to the
     corpus, rerun build_kg into the SAME out_dir — only shards whose exact

@@ -22,7 +22,6 @@ ENGINE_KNOBS = {
     "GRAFT_CORR_LOCAL_MAX",
     "GRAFT_FSYNC",
     "GRAFT_GROUPED_LOCAL_MAX",
-    "GRAFT_LINK_BROADCAST_MAX",
     "GRAFT_MAX_BUCKETS",
     "GRAFT_MAX_SHARDS",
     "GRAFT_NO_CFOLD",

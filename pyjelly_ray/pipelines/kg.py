@@ -22,57 +22,82 @@ from ..stages.extract import extract_batch, ingest_sha256
 from ..stages.link import make_linker_task, prepare_link_index
 
 
+def _corpus_files(path) -> list[str]:
+    """The Parquet files ``ray.data.read_parquet(path)`` reads, in its order.
+
+    ``path`` is a file, a directory or a list of either.  A directory is
+    walked recursively, as Ray walks it: a file or directory whose name
+    starts with ``.`` or ``_`` is skipped, and so is a file that does not
+    end in ``.parquet``.  Raises ``OSError`` for a path that is not on the
+    local filesystem.
+    """
+    import os
+
+    out = []
+    for p in [path] if isinstance(path, (str, os.PathLike)) else path:
+        p = os.fspath(p)
+        if not os.path.isdir(p):
+            if not os.path.isfile(p):
+                raise FileNotFoundError(p)
+            out.append(p)
+            continue
+        found = []
+        for d, dirs, names in os.walk(p):
+            dirs[:] = [n for n in dirs if not n.startswith((".", "_"))]
+            found += [
+                os.path.join(d, n)
+                for n in names
+                if n.endswith(".parquet") and not n.startswith((".", "_"))
+            ]
+        out += sorted(found)
+    return out
+
+
 def read_corpus(path, columns=None, override_num_blocks: int | None = None):
+    """Read a source-file corpus (a Parquet file, directory or list of them).
+
+    Without ``override_num_blocks`` the read makes ``max(2 × CPUs, rows /
+    30k + 1)`` blocks, and every later fan-out follows that count: extract,
+    the stats wave, the exchange map side and the incremental delta-key
+    pass.
+    """
     import ray
 
+    try:
+        # pass the EXPLICIT file list: a directory path makes the
+        # read_parquet constructor walk/expand it serially (~1.1 s of
+        # driver wall on a 64-file corpus, measured r5); the sorted
+        # listing skips that (0.06 s) and keeps fragment order deterministic
+        files = _corpus_files(path)
+    except OSError:
+        files = None  # not a local path: Ray resolves it
     if override_num_blocks is None:
-        # block count must scale with INPUT BYTES, not stay fixed at a
-        # cluster-shaped constant: a fixed count makes per-task working
-        # sets grow linearly with the corpus, which turns the map stage
-        # superlinear under concurrency (measured 4× task time at 2×
-        # corpus) and would OOM at 100 TB.  Target ~48 MB of parquet per
-        # block; the cpu×2 floor still spreads small inputs.
-        import os
-
-        import pyarrow.parquet as pq
-
-        # row count from parquet FOOTERS (no data read) — disk bytes
+        # Block count scales with the input: a fixed count makes per-task
+        # working sets grow linearly with the corpus, which turns the map
+        # stage superlinear under concurrency (measured 4× task time at 2×
+        # corpus) and would OOM at 100 TB.  ~30k source files per block;
+        # the cpu×2 floor spreads small inputs over the session.  There is
+        # no constant floor: every block costs a read, an extract, a stats
+        # and an exchange map task whatever its size (a floor of 16 was a
+        # third of a 15k-file rebuild's wall on one CPU, BASELINE.md).
+        #
+        # Rows come from parquet FOOTERS (no data read) — disk bytes
         # under-estimate working sets by the compression ratio.  Footers
         # are read in a thread pool: serially this was ~1.3 s of driver
         # wall for a 64-file corpus (~8% of the whole build).
         nrows = 0
-        files = None
-        try:
-            files = (
-                sorted(
-                    os.path.join(path, f)
-                    for f in os.listdir(path)
-                    if f.endswith(".parquet")
-                )
-                if os.path.isdir(path)
-                else [path]
-            )
+        if files:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=min(16, max(1, len(files)))) as ex:
-                nrows = sum(
-                    m.num_rows for m in ex.map(pq.read_metadata, files)
-                )
-        except OSError:
-            files = None
-        by_rows = nrows // 30_000 + 1  # ~30k source files per block
+            import pyarrow.parquet as pq
+
+            with ThreadPoolExecutor(max_workers=min(16, len(files))) as ex:
+                nrows = sum(m.num_rows for m in ex.map(pq.read_metadata, files))
         override_num_blocks = max(
-            int(ray.cluster_resources().get("CPU", 8)) * 2, 16, int(by_rows)
+            int(ray.cluster_resources().get("CPU", 8)) * 2, nrows // 30_000 + 1
         )
-        # pass the EXPLICIT file list: a directory path makes the
-        # read_parquet constructor walk/expand it serially (~1.1 s of
-        # driver wall on a 64-file corpus, measured r5); the sorted
-        # listing we already made for the footer scan skips that entirely
-        # (0.06 s) and keeps fragment order deterministic
-        if files:
-            path = files
     return ray.data.read_parquet(
-        path,
+        files or path,
         columns=columns or ["repo", "path", "commit", "lang", "content"],
         override_num_blocks=override_num_blocks,
     )

@@ -19,6 +19,8 @@ from pyjelly_ray.state.manifest import (
     validate_invariants,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 @pytest.fixture(scope="module")
 def kg_out(ray_session, tmp_path_factory):
@@ -159,7 +161,7 @@ def test_cli_quality(ray_session):
             [sys.executable, "-m", "pyjelly_ray.cli", "quality",
              "--sf-dir", "/root/testdata/sf0.001", "--table", "orders",
              "--rules", json.dumps(rules)],
-            capture_output=True, text=True, cwd="/root/repo",
+            capture_output=True, text=True, cwd=ROOT,
         )
 
     ok = run([{"rule": "k", "column": "o_orderkey", "kind": "unique"}])

@@ -22,6 +22,7 @@ from pyjelly_ray.stages.dedup import dedup_exact
 from pyjelly_ray.stages.extract import ONT, reference_extract
 from pyjelly_ray.stages.link import EXTERN_PREFIX
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 N_FILES = 300
 
@@ -326,12 +327,11 @@ def test_chaos_sigkill_resume_byte_identical(corpus_path, tmp_path):
     import sys
     import time
 
-    env = dict(os.environ, RAY_GRAFT_CPUS="4")
     clean = str(tmp_path / "clean_kill")
     subprocess.run(
         [sys.executable, "-m", "pyjelly_ray.cli", "build-kg",
          "--corpus", corpus_path, "--out", clean, "--shards", "4"],
-        check=True, env=env, capture_output=True, cwd="/root/repo",
+        check=True, capture_output=True, cwd=ROOT,
     )
     want = _shard_digests(clean)
 
@@ -339,7 +339,7 @@ def test_chaos_sigkill_resume_byte_identical(corpus_path, tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "pyjelly_ray.cli", "build-kg",
          "--corpus", corpus_path, "--out", out, "--shards", "4"],
-        env=env, cwd="/root/repo", start_new_session=True,
+        cwd=ROOT, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     time.sleep(6.0)  # mid-flight for a ~10 s build; any state is fair game
@@ -352,7 +352,7 @@ def test_chaos_sigkill_resume_byte_identical(corpus_path, tmp_path):
     subprocess.run(
         [sys.executable, "-m", "pyjelly_ray.cli", "build-kg",
          "--corpus", corpus_path, "--out", out, "--shards", "4"],
-        check=True, env=env, capture_output=True, cwd="/root/repo",
+        check=True, capture_output=True, cwd=ROOT,
     )
     assert _shard_digests(out) == want
 
@@ -388,6 +388,73 @@ def test_sort_oracle_byte_identical(ray_session, corpus_path, tmp_path):
     want = _shard_digests(oracle)
     assert len(want) >= 4
     assert _shard_digests(fused) == want
+
+
+@pytest.fixture(scope="module")
+def built_digests(ray_session, corpus_path, tmp_path_factory):
+    """Shard digests of ``build_kg`` over the flat 300-file corpus, 4 shards."""
+    out = str(tmp_path_factory.mktemp("kg_flat"))
+    build_kg(corpus_path, out, n_shards=4).materialize()
+    return _shard_digests(out)
+
+
+@pytest.mark.parametrize("n_blocks", [None, 1, 2, 16])
+def test_shard_bytes_independent_of_block_count(ray_session, corpus_path, tmp_path,
+                                                built_digests, n_blocks):
+    """The corpus block count sets every fan-out before the writer (extract,
+    stats, exchange map side), never the bytes: dedup is exact and each
+    shard is sorted by (repo, path, seq).  The default read of the small
+    test corpus makes 2 × CPUs blocks (no constant floor)."""
+    import ray
+
+    from pyjelly_ray.pipelines.kg import collect_stats, read_corpus
+    from pyjelly_ray.sinks.jelly_sink import dedup_and_write_kg_shards
+    from pyjelly_ray.stages.link import make_linker_task, prepare_link_index
+
+    want_blocks = n_blocks or 2 * int(ray.cluster_resources()["CPU"])
+    triples = extract_triples(
+        read_corpus(corpus_path, override_num_blocks=n_blocks)
+    ).materialize()
+    assert triples.num_blocks() == want_blocks
+    sym_table, repo_counts = collect_stats(triples)
+    out = str(tmp_path / "kg")
+    dedup_and_write_kg_shards(
+        triples, out, n_shards=4, repo_counts=repo_counts,
+        pre_map=make_linker_task(ray.put(prepare_link_index(sym_table))),
+    ).materialize()
+    assert _shard_digests(out) == built_digests
+
+
+def test_read_corpus_nested_dir_and_list(ray_session, tmp_path, built_digests):
+    """A corpus split over nested directories, or given as a list of files,
+    reads the same rows and builds the same shards as the flat file.
+    ``read_corpus`` reads the file set ``ray.data.read_parquet`` reads: the
+    whole tree, less names starting with ``.`` or ``_``."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from pyjelly_ray.pipelines.kg import read_corpus
+
+    table = corpus_table(SEED, N_FILES)
+    root = tmp_path / "nested"
+    parts = [root / "part-0.parquet", root / "sub" / "part-1.parquet",
+             root / "sub" / "deep" / "part-2.parquet"]
+    cut = [0, 100, 200, N_FILES]
+    for i, p in enumerate(parts):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        pq.write_table(table.slice(cut[i], cut[i + 1] - cut[i]), str(p))
+    # names Ray's directory walk skips: a whole second copy must not be read
+    (root / ".staging").mkdir()
+    pq.write_table(table, str(root / ".staging" / "copy.parquet"))
+    pq.write_table(table, str(root / "sub" / "_copy.parquet"))
+
+    listed = [str(p) for p in parts]
+    assert ray.data.read_parquet(str(root)).count() == N_FILES
+    for src in (str(root), listed):
+        assert read_corpus(src).count() == N_FILES
+        out = str(tmp_path / f"kg_{type(src).__name__}")
+        build_kg(src, out, n_shards=4).materialize()
+        assert _shard_digests(out) == built_digests
 
 
 def test_incremental_rebuild_appended_corpus(ray_session, tmp_path):

@@ -2,7 +2,7 @@
 
     read_parquet(corpus)                      # column-pruned, streaming
       → map_batches(ingest_sha256)            # per-row invariant column
-      → map_batches(TripleExtractor)          # stateless fan-out, Arrow
+      → map_batches(extract_batch)            # stateless fan-out, Arrow
       → collect_stats                         # symbol dict + repo counts
       → dedup_and_write_kg_shards             # one fused two-hop exchange:
                                               # link + key (map side),
@@ -13,6 +13,23 @@
 
 Every stage is a Dataset transform; nothing materializes the corpus.  The
 driver (or bench.py) owns the Ray session.
+
+:func:`incremental_build_kg` rebuilds a grown corpus against the state and
+triple cache a previous run left under ``<out>/state/``
+(state/incremental.py):
+
+    load_state + load_cache                   # or a full build, which
+                                              # writes them afresh
+      → map_batches(_scan_batch)              # ONE corpus pass: sha256,
+                                              # registry rows, extract only
+                                              # the files not registered
+      → registry_delta                        # add-only, or a full build
+      → _merged_stats                         # old symbols + cached repo
+                                              # counts + the delta's stats
+      → narrow                                # K, affected shards, and the
+                                              # delta + cached rows to send
+      → dedup_and_write_kg_shards(inc_keys=K) # only those rows
+      → rewrite the changed cache shards, persist_state, cache.json
 """
 
 from __future__ import annotations
@@ -269,16 +286,11 @@ def collect_stats(triples_ds, *, use_refs: bool | None = None,
         empty = pa.table({"name": pa.array([], pa.string()), "iri": pa.array([], pa.string())})
         return (empty, {}, None) if with_registry else (empty, {})
     merged = _merge_stats(*tables)
-    import pyarrow.compute as pc
-
-    syms = merged.filter(pc.equal(merged.column("kind"), "s"))
-    reps = merged.filter(pc.equal(merged.column("kind"), "r"))
-    sym_table = syms.select(["name", "iri"])
-    repo_counts = dict(
-        zip(reps.column("name").to_pylist(), reps.column("cnt").to_pylist())
-    )
+    sym_table, repo_counts = _split_stats(merged)
     if not with_registry:
         return sym_table, repo_counts
+    import pyarrow.compute as pc
+
     files = merged.filter(pc.equal(merged.column("kind"), "f"))
     parts = pc.split_pattern(files.column("name").combine_chunks(), "\x1f")
     registry = pa.table(
@@ -287,8 +299,26 @@ def collect_stats(triples_ds, *, use_refs: bool | None = None,
             "path": pc.list_element(parts, 1),
             "content_sha256": files.column("iri").cast(pa.string()),
         }
-    ).sort_by([("repo", "ascending"), ("path", "ascending"), ("content_sha256", "ascending")])
-    return sym_table, repo_counts, registry
+    )
+    return sym_table, repo_counts, _sort_registry(registry)
+
+
+def _split_stats(merged):
+    """Merged union stats → (symbol table, repo_counts dict)."""
+    import pyarrow.compute as pc
+
+    syms = merged.filter(pc.equal(merged.column("kind"), "s"))
+    reps = merged.filter(pc.equal(merged.column("kind"), "r"))
+    repo_counts = dict(
+        zip(reps.column("name").to_pylist(), reps.column("cnt").to_pylist())
+    )
+    return syms.select(["name", "iri"]), repo_counts
+
+
+def _sort_registry(registry):
+    return registry.sort_by(
+        [("repo", "ascending"), ("path", "ascending"), ("content_sha256", "ascending")]
+    )
 
 
 def build_kg(
@@ -346,6 +376,109 @@ def build_kg(
     )
 
 
+def _registry_key(files):
+    """``repo␟path␟content_sha256`` per row: a file's identity in the registry."""
+    import pyarrow.compute as pc
+
+    return pc.binary_join_element_wise(
+        files.column("repo"), files.column("path"), files.column("content_sha256"), "\x1f"
+    )
+
+
+def _scan_batch(old_keys_ref):
+    """map_batches fn of the add-only rebuild's one corpus pass.
+
+    Per corpus block: hash every file's content, emit a registry row for
+    each non-empty file (the files that extract to at least one row, as
+    the kind-``f`` stats rows do), and extract only the files whose
+    ``(repo, path, content_sha256)`` the previous registry does not hold.
+    Registry rows ride in the triple schema with a null ``seq`` and null
+    statement columns.
+    """
+
+    def scan(batch):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray
+
+        from ..schema import KG_TRIPLE_SCHEMA
+
+        if batch.num_rows == 0 or "content" not in batch.column_names:
+            return KG_TRIPLE_SCHEMA.empty_table()
+        hashed = ingest_sha256(batch)
+        files = hashed.filter(pc.fill_null(pc.not_equal(hashed.column("content"), ""), False))
+        old = ray.get(old_keys_ref)
+        fresh = files.filter(pc.invert(pc.is_in(_registry_key(files), value_set=old)))
+        n = files.num_rows
+        registry = pa.table(
+            [
+                files.column(f.name) if f.name in ("repo", "path", "content_sha256")
+                else pa.nulls(n, f.type)
+                for f in KG_TRIPLE_SCHEMA
+            ],
+            schema=KG_TRIPLE_SCHEMA,
+        )
+        return pa.concat_tables([extract_batch(fresh), registry])
+
+    return scan
+
+
+def _scan_corpus(corpus_ds, old_registry):
+    """One pass over the corpus → (registry rows, extracted delta rows):
+    ``content_sha256`` for every file, and extraction for only the files
+    ``old_registry`` does not hold."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    from ..schema import KG_TRIPLE_SCHEMA
+
+    old_ref = ray.put(_registry_key(old_registry).combine_chunks())
+    blocks = [
+        b
+        for b in corpus_ds.map_batches(_scan_batch(old_ref), batch_format="pyarrow")
+        .iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    out = pa.concat_tables(blocks) if blocks else KG_TRIPLE_SCHEMA.empty_table()
+    is_reg = pc.is_null(out.column("seq"))
+    registry = out.filter(is_reg).select(["repo", "path", "content_sha256"])
+    return registry, out.filter(pc.invert(is_reg))
+
+
+def _merged_stats(old_sym, cached, delta):
+    """The new symbol table and repo counts as exact merges: the old
+    symbols, the repo counts of every cached (pre-dedup) row, and the
+    delta's own stats, under ``_merge_stats``'s min/sum."""
+    import pyarrow as pa
+
+    n = old_sym.num_rows
+    syms = pa.table({
+        "kind": pa.array(["s"] * n, pa.string()),
+        "name": old_sym.column("name").cast(pa.string()),
+        "iri": old_sym.column("iri").cast(pa.string()),
+        "cnt": pa.nulls(n, pa.int64()),
+    })
+    reps = cached.group_by(["repo"]).aggregate([("repo", "count")])
+    m = reps.num_rows
+    counts = pa.table({
+        "kind": pa.array(["r"] * m, pa.string()),
+        "name": reps.column("repo"),
+        "iri": pa.nulls(m, pa.string()),
+        "cnt": reps.column("repo_count"),
+    })
+    return _split_stats(_merge_stats(syms, counts, _stats_batch(delta)))
+
+
+def _plan_dict(n_shards_arg, plan, options) -> dict:
+    nb, ns, hp, n_total = plan
+    return {
+        "n_shards_arg": n_shards_arg, "n_shards": ns, "n_buckets": nb,
+        "hot_plan": {k: list(v) for k, v in hp.items()},
+        "n_total": n_total, "options": repr(options),
+    }
+
+
 def incremental_build_kg(
     corpus_path,
     out_dir: str,
@@ -353,93 +486,121 @@ def incremental_build_kg(
     n_shards: int = 16,
     jelly_options: StreamOptions | None = None,
 ):
-    """Symbol-delta narrowed rebuild (state/incremental.py).
+    """Delta-proportional rebuild (state/incremental.py).
 
-    For an ADD-ONLY corpus delta with an unchanged shard plan, proves
-    which shards cannot have changed (no new-file rows, no re-linked
-    names, no statement-key collisions with changed rows) inside the
-    fused exchange: rows are tagged on the map side, and a shard with no
-    tagged row after global dedup never sorts, never re-encodes, and its
-    files/manifests are left untouched on disk.  Anything the
-    proof can't cover (first build, modified/removed files, plan or
-    options drift) falls back to a full build (where the per-shard
-    row_xor skip still applies).
+    For an ADD-ONLY corpus delta with an unchanged shard plan, one pass
+    over the corpus hashes every file and extracts only the added ones;
+    the symbol table and repo counts are merged with the saved state, and
+    :func:`~pyjelly_ray.state.incremental.narrow` picks the shards that can
+    change and the delta and cached rows they are rebuilt from.  Only
+    those rows cross the fused exchange; every other shard's files,
+    manifest and cache are left untouched on disk.  Anything the proof
+    can't cover (first build, modified/removed files, plan or options
+    drift, a missing or stale triple cache) falls back to a full build,
+    which also writes a fresh triple cache.
 
     CONSUMES the pipeline (unlike :func:`build_kg`, which returns lazily)
     and persists the new state; returns a summary dict whose
     ``live_shards`` lists the shard ids the new corpus populates (what
-    ``state.manifest.prune_orphans`` keeps).
+    ``state.manifest.prune_orphans`` keeps) and whose ``files_extracted``
+    counts the files this run extracted.
     """
+    import os
+
     import ray
 
-    from ..sinks.jelly_sink import compute_shard_plan, dedup_and_write_kg_shards
+    from ..sinks.jelly_sink import (
+        add_shard_column,
+        compute_shard_plan,
+        dedup_and_write_kg_shards,
+    )
     from ..state import incremental as inc
 
     options = jelly_options or StreamOptions()
-    state = inc.load_state(out_dir)
-
-    corpus = read_corpus(corpus_path)
-    triples = extract_triples(corpus).materialize()
-    # ONE scan: symbol dict + repo counts + file registry together
-    sym_table, repo_counts, new_registry = collect_stats(triples, with_registry=True)
-    nb, ns, hp, n_total = compute_shard_plan(repo_counts, n_shards)
-    plan_dict = {
-        "n_shards_arg": n_shards, "n_shards": ns, "n_buckets": nb,
-        "hot_plan": {k: list(v) for k, v in hp.items()},
-        "n_total": n_total, "options": repr(options),
-    }
-    new_sym_ref = ray.put(prepare_link_index(sym_table))
 
     def full(reason: str) -> dict:
-        manifests = dedup_and_write_kg_shards(
+        inc.drop_cache_manifest(out_dir)
+        triples = extract_triples(read_corpus(corpus_path)).materialize()
+        sym_table, repo_counts, registry = collect_stats(triples, with_registry=True)
+        nb, ns, hp, n_total = plan = compute_shard_plan(repo_counts, n_shards)
+        sym_ref = ray.put(prepare_link_index(sym_table))
+        rows = dedup_and_write_kg_shards(
             triples, out_dir, n_shards=n_shards, options=jelly_options,
-            repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
-        )
-        rows = manifests.take_all()
-        inc.persist_state(out_dir, sym_table, new_registry, plan_dict)
+            repo_counts=repo_counts, pre_map=make_linker_task(sym_ref),
+        ).take_all()
+        n_cached = inc.write_triple_cache(triples, out_dir, sym_ref, nb, ns, hp)
+        plan_dict = _plan_dict(n_shards, plan, options)
+        inc.persist_state(out_dir, sym_table, registry, plan_dict)
+        inc.write_cache_manifest(out_dir, plan_dict, n_cached)
         return {"mode": "full", "reason": reason, "shards_written": len(rows),
-                "n_total": n_total, "live_shards": sorted(r["shard"] for r in rows)}
+                "n_total": n_total, "files_extracted": registry.num_rows,
+                "live_shards": sorted(r["shard"] for r in rows)}
 
+    state = inc.load_state(out_dir)
     if state is None:
         return full("no previous state")
     old_sym, old_registry, old_plan = state
     if old_plan.get("options") != repr(options) or old_plan.get("n_shards_arg") != n_shards:
         return full("options or shard argument changed")
-    added_shas, add_only = inc.registry_delta(old_registry, new_registry)
+    cached, stale = inc.load_cache(out_dir, old_plan)
+    if cached is None:
+        return full(stale)
+
+    registry, delta = _scan_corpus(read_corpus(corpus_path), old_registry)
+    files = registry.group_by(["repo", "path"]).aggregate([]).num_rows
+    if files != registry.num_rows:
+        return full("duplicate (repo, path) rows in the corpus")
+    registry = _sort_registry(registry)
+    _, add_only = inc.registry_delta(old_registry, registry)
     if not add_only:
         return full("modified or removed files (delta not add-only)")
+    sym_table, repo_counts = _merged_stats(old_sym, cached, delta)
+    nb, ns, hp, n_total = plan = compute_shard_plan(repo_counts, n_shards)
+    plan_dict = _plan_dict(n_shards, plan, options)
     if plan_dict != old_plan:
         return full("shard plan changed")
 
+    def missing(shard: int) -> bool:
+        name = f"part-{shard:05d}"
+        return not (os.path.exists(os.path.join(out_dir, name + ".jelly"))
+                    and os.path.exists(os.path.join(out_dir, "manifests", name + ".json")))
+
     changed_names = inc.symbol_delta(old_sym, sym_table)
-    old_sym_ref = ray.put(prepare_link_index(old_sym))
-    delta_keys = inc.collect_delta_keys(
-        triples, added_shas, changed_names, new_sym_ref, old_sym_ref, nb
+    new_index = prepare_link_index(sym_table)
+    nar = inc.narrow(
+        cached, delta, prepare_link_index(old_sym), new_index, changed_names,
+        nb, add_shard_column(ns, hp), missing,
     )
-
-    # the exchange's map pass tags each row kin = (key ∈ K); the writer
-    # proves "no changed row" per shard and skips the sort AND fingerprint
-    # AND encode — zero extra scans.
-    keys_ref = ray.put(delta_keys)
-    manifests = dedup_and_write_kg_shards(
-        triples, out_dir, n_shards=n_shards, options=jelly_options,
-        repo_counts=repo_counts, pre_map=make_linker_task(new_sym_ref),
-        inc_keys=keys_ref,
-    )
-    rows = manifests.take_all()
+    rows = []
+    if nar.rows.num_rows:
+        # the exchange's map pass tags each row kin = (key ∈ K); the writer
+        # skips an affected shard whose group has no tagged row and the row
+        # count its manifest records
+        rows = dedup_and_write_kg_shards(
+            ray.data.from_arrow(nar.rows), out_dir, n_shards=n_shards,
+            options=jelly_options, repo_counts=repo_counts,
+            pre_map=make_linker_task(ray.put(new_index)),
+            inc_keys=ray.put(nar.keys),
+        ).take_all()
     written = sum(1 for r in rows if r["status"] == "written")
-    skipped = sum(1 for r in rows if r["status"] == "skipped")
+    live = {f"{s:05d}" for s in set(nar.live) - set(nar.affected)}
+    live |= {r["shard"] for r in rows}
 
-    inc.persist_state(out_dir, sym_table, new_registry, plan_dict)
+    inc.drop_cache_manifest(out_dir)
+    for shard, table in nar.cache.items():
+        inc.replace_cache_shard(out_dir, shard, table)
+    inc.persist_state(out_dir, sym_table, registry, plan_dict)
+    inc.write_cache_manifest(out_dir, plan_dict, cached.num_rows + delta.num_rows)
     return {
         "mode": "incremental",
         "n_total": n_total,
         "affected": written,
-        "skipped": skipped,
+        "skipped": len(live) - written,
         "changed_names": len(changed_names),
-        "delta_keys": int(len(delta_keys)),
+        "delta_keys": int(len(nar.keys)),
         "shards_written": written,
-        "live_shards": sorted(r["shard"] for r in rows),
+        "files_extracted": delta.group_by(["repo", "path"]).aggregate([]).num_rows,
+        "live_shards": sorted(live),
     }
 
 

@@ -5,14 +5,25 @@ The proof obligation: an incremental rebuild over an add-only corpus delta
 must (a) leave provably-unaffected shards' files untouched on disk (their
 mtimes don't change — they never cross the exchange's second hop), and
 (b) produce a directory byte-identical to a full fresh rebuild of the new
-corpus.  Non-add-only deltas must fall back to a full rebuild."""
+corpus.  Non-add-only deltas, and a missing or stale triple cache, must
+fall back to a full rebuild.
+
+The rebuild extracts only the added files and sends only the affected
+shards' rows through the exchange; the driver-only oracle tests at the
+end check :func:`inc.narrow` against a full dedup on handmade rows."""
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
+import json
 import os
+import shutil
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -153,6 +164,22 @@ def test_incremental_fallback_on_option_change(ray_session, corpora, tmp_path):
     assert "options" in r["reason"]
 
 
+def test_incremental_fallback_on_duplicate_path(ray_session, corpora, tmp_path):
+    """A second row with a known file's (repo, path) is not extracted by
+    the delta pass, so the proof cannot count its rows: full rebuild."""
+    v1, _ = corpora
+    base = pq.read_table(v1)
+    doubled = str(tmp_path / "doubled.parquet")
+    pq.write_table(pa.concat_tables([base, base.slice(0, 1)]), doubled)
+    out = str(tmp_path / "kg")
+    ref = str(tmp_path / "kg_ref")
+    incremental_build_kg(v1, out, n_shards=N_SHARDS)
+    r = incremental_build_kg(doubled, out, n_shards=N_SHARDS)
+    assert r["mode"] == "full" and "duplicate" in r["reason"], r
+    _consume(build_kg(doubled, ref, n_shards=N_SHARDS))
+    assert _dir_digests(out) == _dir_digests(ref)
+
+
 def test_registry_and_symbol_delta_units():
     import pyarrow as pa
 
@@ -181,3 +208,230 @@ def test_registry_and_symbol_delta_units():
     new_sym = pa.table({"name": ["a", "b", "c", "d"], "iri": ["i1", "i0", "i3", "i9"]})
     changed = set(inc.symbol_delta(old_sym, new_sym).to_pylist())
     assert changed == {"b", "d"}
+
+
+# ------------------------------------------------- triple cache, end to end
+
+
+@pytest.fixture(scope="module")
+def cold_v2(ray_session, corpora, tmp_path_factory):
+    """Part-file digests and live shards of a cold ``build_kg`` of v2."""
+    ref = str(tmp_path_factory.mktemp("cold_v2") / "kg")
+    rows = build_kg(corpora[1], ref, n_shards=N_SHARDS).take_all()
+    return _dir_digests(ref), sorted(r["shard"] for r in rows)
+
+
+def test_incremental_extracts_only_added_files(ray_session, corpora, cold_v2, tmp_path):
+    v1, v2 = corpora
+    out = str(tmp_path / "kg")
+    r1 = incremental_build_kg(v1, out, n_shards=N_SHARDS)
+    assert r1["mode"] == "full"
+    r2 = incremental_build_kg(v2, out, n_shards=N_SHARDS)
+    assert r2["mode"] == "incremental", r2
+    # only the added files are extracted; an empty file has nothing to
+    # extract (no rows, no registry entry), so it is not counted
+    added = corpus_slice_table(SEED, N_V1, N_V2).column("content").to_pylist()
+    assert r2["files_extracted"] == sum(1 for c in added if c) > 0
+    assert _dir_digests(out) == cold_v2[0]
+    assert r2["live_shards"] == cold_v2[1]
+    r3 = incremental_build_kg(v2, out, n_shards=N_SHARDS)
+    assert r3["mode"] == "incremental", r3
+    assert r3["files_extracted"] == 0 and r3["shards_written"] == 0, r3
+    assert r3["skipped"] == r3["n_total"] == len(r3["live_shards"])
+    assert r3["live_shards"] == cold_v2[1]
+
+
+def test_incremental_relinks_names_called_elsewhere(ray_session, corpora, tmp_path):
+    """A delta that defines a name other shards already call re-links rows
+    far from its own shard; the result is still a cold build's bytes."""
+    v1, _ = corpora
+    base = pq.read_table(v1)
+    definer = pa.table({
+        "repo": ["org0003/repo0007"], "path": ["src/zz/helpers.py"],
+        "commit": [base.column("commit")[0].as_py()], "lang": ["python"],
+        "content": ["def helper(x):\n    return x\n"],
+    }).cast(base.schema)
+    grown = str(tmp_path / "grown.parquet")
+    pq.write_table(pa.concat_tables([base, definer]), grown)
+
+    out = str(tmp_path / "kg")
+    ref = str(tmp_path / "kg_ref")
+    incremental_build_kg(v1, out, n_shards=N_SHARDS)
+    r = incremental_build_kg(grown, out, n_shards=N_SHARDS)
+    assert r["mode"] == "incremental", r
+    assert r["changed_names"] > 0 and r["files_extracted"] == 1
+    assert r["shards_written"] > 1, r  # rows calling helper() live elsewhere
+    _consume(build_kg(grown, ref, n_shards=N_SHARDS))
+    assert _dir_digests(out) == _dir_digests(ref)
+
+
+def _drop_cache_dir(out):
+    shutil.rmtree(inc.state_paths(out)["triples"])
+
+
+def _edit_fingerprint(out):
+    path = inc.state_paths(out)["cache"]
+    with open(path) as f:
+        doc = json.load(f)
+    doc["fingerprint"] = "0" * 64
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def _persist_newer_registry(out, corpus):
+    """Rewrite the saved state from ``corpus`` the way a caller of the
+    4-argument ``persist_state`` does, without touching the cache."""
+    from pyjelly_ray.pipelines.kg import collect_stats, extract_triples, read_corpus
+
+    triples = extract_triples(read_corpus(corpus)).materialize()
+    sym, _, registry = collect_stats(triples, with_registry=True)
+    _, _, plan = inc.load_state(out)
+    inc.persist_state(out, sym, registry, plan)
+
+
+@pytest.mark.parametrize("spoil", ["drop_dir", "edit_fingerprint", "newer_state"])
+def test_incremental_stale_cache_falls_back(ray_session, corpora, cold_v2, tmp_path, spoil):
+    v1, v2 = corpora
+    out = str(tmp_path / "kg")
+    incremental_build_kg(v1, out, n_shards=N_SHARDS)
+    if spoil == "drop_dir":
+        _drop_cache_dir(out)
+    elif spoil == "edit_fingerprint":
+        _edit_fingerprint(out)
+    else:
+        _persist_newer_registry(out, v2)
+    r = incremental_build_kg(v2, out, n_shards=N_SHARDS)
+    assert r["mode"] == "full", r
+    assert "cache" in r["reason"], r
+    assert _dir_digests(out) == cold_v2[0]
+    again = incremental_build_kg(v2, out, n_shards=N_SHARDS)
+    assert again["mode"] == "incremental", again
+
+
+# ------------------------------------------- narrowing oracle (no Ray)
+
+HOT = "hot/r"
+N_BUCKETS = 4
+
+
+def _files(*specs):
+    """Extracted rows of handmade python files ``(repo, path, content)``."""
+    from pyjelly_ray.stages.extract import extract_batch, ingest_sha256
+
+    t = pa.table({
+        "repo": [s[0] for s in specs], "path": [s[1] for s in specs],
+        "commit": ["c0"] * len(specs), "lang": ["python"] * len(specs),
+        "content": [s[2] for s in specs],
+    })
+    return extract_batch(ingest_sha256(t))
+
+
+def _salted_plan():
+    """n_shards=2 plus a hot plan that salts ``src/a/m.py`` and ``a/m.py``
+    (both the module ``a.m``) into different shards of the hot repo."""
+    from pyjelly_ray.sinks.jelly_sink import add_shard_column
+
+    probe = pa.table({"repo": [HOT, HOT], "path": ["src/a/m.py", "a/m.py"]})
+    for k in range(2, 9):
+        assign = add_shard_column(2, {HOT: (2, k)})
+        a, b = assign(probe).column("shard").to_pylist()
+        if a != b:
+            return assign
+    raise AssertionError("no split count separates the two paths")
+
+
+def _shard_of(assign, repo, path):
+    return assign(pa.table({"repo": [repo], "path": [path]})).column("shard")[0].as_py()
+
+
+def _rows_by_shard(t, shards):
+    cols = ["shard", "repo", "path", "seq", "s_value", "p_value", "o_value"]
+    cols += [c for c in ("h1", "h2") if c in t.column_names]
+    t = t.filter(pc.is_in(t.column("shard"), value_set=pa.array(sorted(shards), pa.int32())))
+    return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
+
+
+def _oracle(assign, old_files, delta_files):
+    """Narrow, dedup the narrowed rows, and compare every affected shard
+    with a full dedup of all rows; returns the narrowing and full result."""
+    from pyjelly_ray.stages.dedup import add_tkey, dedup_block
+    from pyjelly_ray.stages.link import (
+        _batch_min_by_name,
+        _link_batch,
+        build_symbol_dict_batch,
+        prepare_link_index,
+    )
+
+    old, delta = _files(*old_files), _files(*delta_files)
+    every = pa.concat_tables([old, delta])
+    old_sym = _batch_min_by_name(build_symbol_dict_batch(old))
+    new_sym = _batch_min_by_name(build_symbol_dict_batch(every))
+    old_index, new_index = prepare_link_index(old_sym), prepare_link_index(new_sym)
+    cached = inc.cache_rows(old, functools.partial(_link_batch, old_index), N_BUCKETS, assign)
+    nar = inc.narrow(cached, delta, old_index, new_index,
+                     inc.symbol_delta(old_sym, new_sym), N_BUCKETS, assign)
+
+    def deduped(rows):
+        return assign(dedup_block(add_tkey(_link_batch(new_index, rows), N_BUCKETS)))
+
+    full, got = deduped(every), deduped(nar.rows)
+    assert set(got.column("shard").to_pylist()) <= set(nar.affected)
+    assert _rows_by_shard(got, nar.affected) == _rows_by_shard(full, nar.affected)
+    unaffected = full.filter(pa.array(~np.isin(full.column("shard").to_numpy(), nar.affected)))
+    assert not inc.kin_mask(unaffected, nar.keys).any()
+    # the rewritten cache shards hold every row of theirs, keyed anew
+    recached = inc.cache_rows(every, functools.partial(_link_batch, new_index), N_BUCKETS, assign)
+    for shard, table in nar.cache.items():
+        assert _rows_by_shard(table, [shard]) == _rows_by_shard(recached, [shard])
+    return nar, full
+
+
+def test_narrow_oracle_statement_in_two_shards():
+    """``src/a/m.py`` and ``a/m.py`` share the module statements of ``a.m``;
+    the delta lands in the loser's shard, and the winner's shard stays
+    unaffected, so the loser's copy must not be resurrected."""
+    assign = _salted_plan()
+    loser_shard = _shard_of(assign, HOT, "src/a/m.py")
+    path = next(f"x{i}.py" for i in range(1000)
+                if _shard_of(assign, HOT, f"x{i}.py") == loser_shard)
+    nar, full = _oracle(
+        assign,
+        [(HOT, "a/m.py", "def f(x):\n    return x\n"),
+         (HOT, "src/a/m.py", "def f(x):\n    return x\n")],
+        [(HOT, path, "def g(x):\n    return x\n")],
+    )
+    assert loser_shard in nar.affected
+    assert _shard_of(assign, HOT, "a/m.py") not in nar.affected
+
+
+def test_narrow_oracle_loser_promoted_when_winner_relinks():
+    """``a/m.py`` wins ``a.m imports <helper>`` through the bare name of
+    ``x.helper``; the delta defines the module ``x.helper``, the winner
+    re-links to it, and ``src/a/m.py``'s copy (``import helper``) wins."""
+    assign = _salted_plan()
+    nar, full = _oracle(
+        assign,
+        [(HOT, "a/m.py", "import x.helper\n"),
+         (HOT, "src/a/m.py", "import helper\n"),
+         ("lib/r", "lib/h.py", "def helper(x):\n    return x\n")],
+        [("lib/r", "x/helper.py", "# a module\n")],
+    )
+    promoted_shard = _shard_of(assign, HOT, "src/a/m.py")
+    assert promoted_shard in nar.affected
+    assert any(r[2] == "src/a/m.py" and r[6].endswith("lib.h.helper")
+               for r in _rows_by_shard(full, [promoted_shard]))
+
+
+def test_narrow_oracle_delta_beats_cached_winner():
+    """The delta adds ``a/m.py`` next to ``src/a/m.py``: its copy of the
+    ``a.m`` module statements wins, and the old winner's shard loses them."""
+    assign = _salted_plan()
+    nar, full = _oracle(
+        assign,
+        [(HOT, "src/a/m.py", "def f(x):\n    return x\n")],
+        [(HOT, "a/m.py", "# a module\n")],
+    )
+    old_shard = _shard_of(assign, HOT, "src/a/m.py")
+    assert old_shard in nar.affected
+    assert not any(r[2] == "src/a/m.py" and r[5].endswith("#definedIn")
+                   for r in _rows_by_shard(full, [old_shard]))

@@ -94,8 +94,8 @@ def encode_fold(*, n, mode, use_prefixes, s_ch, p_ch, o_ch, g_ch, s_is_iri,
                 options_row, frame_size) -> bytes | None:
     """Run the compiled fold; ``None`` ⇒ caller falls back to Python.
 
-    Byte-list args (``*_parts``) are per-unique payloads; index arrays are
-    numpy.  A ``-2`` return (conformance error, e.g. datatype lookup
+    Byte args (``*_parts``) are per-unique payloads, each a list of bytes
+    or a ``(uint8 bytes, int64 offsets)`` pair; index arrays are numpy.  A ``-2`` return (conformance error, e.g. datatype lookup
     disabled) also falls back so the Python fold raises the proper
     exception.
     """
@@ -114,12 +114,20 @@ def encode_fold(*, n, mode, use_prefixes, s_ch, p_ch, o_ch, g_ch, s_is_iri,
         return p
 
     def B(parts):
-        buf, off = concat_offsets(parts)
-        ptr = _blob(buf)
-        keep.append(ptr)
+        if isinstance(parts, tuple):  # (uint8 bytes, int64 offsets), laid out
+            data, off = parts
+            arr, ptr = _u8(data if len(data) else np.zeros(1, np.uint8))
+            keep.append(arr)
+        else:
+            buf, off = concat_offsets(parts)
+            ptr = _blob(buf)
+            keep.append(ptr)
         arr, offp = _i64(off)
         keep.append(arr)
         return ptr, offp
+
+    def count(parts):
+        return len(parts[1]) - 1 if isinstance(parts, tuple) else len(parts)
 
     val_buf, val_off = B(val_parts)
     pref_buf, pref_off = B(pref_parts)
@@ -138,8 +146,8 @@ def encode_fold(*, n, mode, use_prefixes, s_ch, p_ch, o_ch, g_ch, s_is_iri,
         I(o_kind), I(g_kind), I(sg), I(pg), I(og), I(gg),
         I(pref_of), I(name_of),
         val_buf, val_off,
-        pref_buf, pref_off, len(pref_parts),
-        name_buf, name_off, len(name_parts),
+        pref_buf, pref_off, count(pref_parts),
+        name_buf, name_off, count(name_parts),
         I(lex_idx), I(lang_idx), I(dt_idx),
         lex_buf, lex_off, lang_buf, lang_off,
         dt_buf, dt_off, len(dt_parts),

@@ -6,8 +6,9 @@ tests/test_encode_fast.py), but restructured for the shard-writer hot path
 (ROADMAP #3):
 
 - The per-shard Arrow table is **dictionary-encoded once** per term column;
-  ``split_iri`` and UTF-8 encoding run once per *unique* prefix/name, not once
-  per occurrence.
+  the ``split_iri`` cut and the prefix/name interning run over the unique
+  values' UTF-8 bytes as whole arrays (numpy + Arrow), not per value in
+  Python, and hand the compiled fold flat byte buffers + offsets.
 - The sequential protocol fold (three LRU lookups + delta ids + repeated-term
   suppression — inherently order-dependent, see reference
   /root/reference/pyjelly/serialize/lookup.py:12-137) runs over **small int
@@ -42,7 +43,6 @@ from .encode import (
     ROW_QUAD,
     ROW_TRIPLE,
     _encode_options_row,
-    split_iri,
 )
 from .options import STRING_DATATYPE_IRI, JellyConformanceError, StreamOptions
 from .wire import encode_varint
@@ -124,16 +124,80 @@ class _IntLookup:
         return index
 
 
-def _dict_indices(col: pa.ChunkedArray) -> tuple[list[int], list]:
-    """Dictionary-encode a string column → (int indices, unique py strings).
+def _dict_encode(col: pa.ChunkedArray) -> tuple[np.ndarray, pa.Array]:
+    """Dictionary-encode a string column → (int64 indices, unique values).
 
-    Null values get index ``_MISSING``.
+    Null values get index ``_MISSING``; the dictionary holds no nulls.
     """
-    enc = pc.dictionary_encode(col.combine_chunks())
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col)
     if isinstance(enc, pa.ChunkedArray):
         enc = enc.combine_chunks()
     idx = enc.indices.fill_null(_MISSING).to_numpy(zero_copy_only=False)
-    return idx.astype(np.int64), enc.dictionary.to_pylist()
+    return idx.astype(np.int64), enc.dictionary
+
+
+def _utf8_parts(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """String/binary array → (uint8 bytes, int64 offsets[len + 1] from 0):
+    the UTF-8 payload of every value, laid end to end."""
+    if len(arr) == 0:
+        return np.zeros(0, np.uint8), np.zeros(1, np.int64)
+    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
+        arr = arr.cast(pa.large_string()).view(pa.large_binary())
+    else:
+        arr = arr.cast(pa.large_binary())
+    bufs = arr.buffers()
+    off = np.frombuffer(bufs[1], np.int64, count=len(arr) + 1, offset=arr.offset * 8)
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.zeros(0, np.uint8)
+    return data[off[0]:off[-1]], off - off[0]
+
+
+def _gather_parts(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> pa.Array:
+    """The byte ranges ``data[lo[i]:hi[i]]`` as one large_binary array."""
+    lens = hi - lo
+    off = np.zeros(len(lo) + 1, np.int64)
+    np.cumsum(lens, out=off[1:])
+    idx = np.repeat(lo - off[:-1], lens) + np.arange(off[-1])
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(lo), [None, pa.py_buffer(off), pa.py_buffer(data[idx])]
+    )
+
+
+def _last_byte(data: np.ndarray, byte: int, starts: np.ndarray, ends: np.ndarray):
+    """Per value ``[starts[i], ends[i])``: position of its last ``byte``, or -1."""
+    pos = np.flatnonzero(data == byte)
+    if len(pos) == 0:
+        return np.full(len(starts), -1, np.int64)
+    k = np.searchsorted(pos, ends) - 1
+    last = pos[np.maximum(k, 0)]
+    return np.where((k >= 0) & (last >= starts), last, -1)
+
+
+def _split_values(data: np.ndarray, off: np.ndarray, use_prefixes: bool):
+    """:func:`split_iri` of every value at once, then the prefix and name
+    spaces deduplicated → (pref_of, name_of, prefix parts, name parts).
+
+    ``#`` and ``/`` are ASCII, which no multi-byte UTF-8 sequence contains,
+    so splitting the UTF-8 bytes at the last ``#``, else the last ``/``, is
+    the same cut ``split_iri`` makes in the string.
+    """
+    starts, ends = off[:-1], off[1:]
+    if use_prefixes:
+        h = _last_byte(data, 0x23, starts, ends)
+        sl = _last_byte(data, 0x2F, starts, ends)
+        cut = np.where(h >= 0, h + 1, np.where(sl >= 0, sl + 1, starts))
+    else:
+        cut = starts
+    pref_of, pref = _dict_encode(_gather_parts(data, starts, cut))
+    name_of, name = _dict_encode(_gather_parts(data, cut, ends))
+    return pref_of, name_of, _utf8_parts(pref), _utf8_parts(name)
+
+
+def _parts_list(parts: tuple[np.ndarray, np.ndarray]) -> list[bytes]:
+    data, off = parts
+    raw = data.tobytes()
+    return [raw[a:b] for a, b in zip(off[:-1].tolist(), off[1:].tolist())]
 
 
 def encode_table(
@@ -217,18 +281,19 @@ def _encode_triples(
         table.column("o_kind").combine_chunks().to_numpy(zero_copy_only=False),
         dtype=np.int64,
     )
-    s_idx, s_uniq = _dict_indices(table.column("s_value"))
-    p_idx, p_uniq = _dict_indices(table.column("p_value"))
-    o_idx, o_uniq = _dict_indices(table.column("o_value"))
+    s_idx, s_uniq = _dict_encode(table.column("s_value"))
+    p_idx, p_uniq = _dict_encode(table.column("p_value"))
+    o_idx, o_uniq = _dict_encode(table.column("o_value"))
     is_lit = o_kind_np == KIND_LITERAL
     has_lit = bool(is_lit.any())
     if has_lit:
         # normalize lex nulls to "" BEFORE dict-encoding: the repeat key
         # compares `lex or ""`, so None and "" must share an index (their
         # emission is identical too — both skip the lex field)
-        lex_idx_np, lex_uniq = _dict_indices(pc.fill_null(table.column("o_lex"), ""))
-        lang_idx_np, lang_uniq = _dict_indices(table.column("o_lang"))
-        dt_idx_np, dt_uniq = _dict_indices(table.column("o_dt"))
+        lex_idx_np, lex_uniq = _dict_encode(pc.fill_null(table.column("o_lex"), ""))
+        lang_idx_np, lang_uniq = _dict_encode(table.column("o_lang"))
+        dt_idx_np, dt_uniq = _dict_encode(table.column("o_dt"))
+        lang_uniq, dt_uniq = lang_uniq.to_pylist(), dt_uniq.to_pylist()
         lang_bytes = [v.encode() if v else None for v in lang_uniq]
         dt_bytes = [v.encode() if v else b"" for v in dt_uniq]
         # skip the datatype machinery for absent / empty / xsd:string types,
@@ -237,7 +302,7 @@ def _encode_triples(
 
     # unify the slot value dictionaries into one global term-value id space
     offs_p, offs_o = len(s_uniq), len(s_uniq) + len(p_uniq)
-    all_vals = s_uniq + p_uniq + o_uniq
+    uniq = [s_uniq, p_uniq, o_uniq]
     sg_np = np.where(s_idx >= 0, s_idx, _MISSING)
     pg_np = np.where(p_idx >= 0, p_idx + offs_p, _MISSING)
     og_np = np.where(o_idx >= 0, o_idx + offs_o, _MISSING)
@@ -248,9 +313,9 @@ def _encode_triples(
                 table.column("g_kind").combine_chunks().to_numpy(zero_copy_only=False),
                 dtype=np.int64,
             )
-            g_idx, g_uniq = _dict_indices(table.column("g_value"))
-            offs_g = len(all_vals)
-            all_vals = all_vals + g_uniq
+            g_idx, g_uniq = _dict_encode(table.column("g_value"))
+            offs_g = offs_o + len(o_uniq)
+            uniq.append(g_uniq)
             gg_np = np.where(g_idx >= 0, g_idx + offs_g, _MISSING)
         else:  # GRAPHS physical without g columns: one default graph
             g_kind_np = np.full(n, KIND_DEFAULT, np.int64)
@@ -269,7 +334,8 @@ def _encode_triples(
         lit_key = ((lex_idx_np + 1) * lang_m + (lang_idx_np + 1)) * dt_m + (
             dt_idx_np + 1
         )
-        lit_base = (np.int64(len(all_vals) + 1) << 3) + 8  # above every non-lit key
+        n_vals = sum(len(u) for u in uniq)
+        lit_base = (np.int64(n_vals + 1) << 3) + 8  # above every non-lit key
         o_keys_np = np.where(is_lit, lit_base + lit_key, (og_np << 3) | o_kind_np)
     else:
         o_keys_np = (og_np << 3) | o_kind_np
@@ -289,36 +355,18 @@ def _encode_triples(
         g_ch_np = _change_mask((gg_np << 3) | g_kind_np)
 
     # per unique value: utf-8 bytes (bnode branch), split prefix/name ids +
-    # their utf-8 bytes (IRI branch).  Prefix/name spaces are deduplicated
-    # across all values so the int lookup keys coincide exactly with string
-    # equality classes.
-    val_bytes = [v.encode() if v is not None else b"" for v in all_vals]
-    pref_of: list[int] = []
-    name_of: list[int] = []
-    pref_ids: dict[str, int] = {}
-    name_ids: dict[str, int] = {}
-    pref_strs: list[str] = []
-    name_strs: list[str] = []
-    for v in all_vals:
-        if v is None:
-            pref_of.append(_MISSING)
-            name_of.append(_MISSING)
-            continue
-        pfx, nm = split_iri(v) if use_prefixes else ("", v)
-        pid = pref_ids.get(pfx)
-        if pid is None:
-            pid = pref_ids[pfx] = len(pref_strs)
-            pref_strs.append(pfx)
-        nid = name_ids.get(nm)
-        if nid is None:
-            nid = name_ids[nm] = len(name_strs)
-            name_strs.append(nm)
-        pref_of.append(pid)
-        name_of.append(nid)
-    pref_bytes = [s.encode() for s in pref_strs]
-    name_bytes = [s.encode() for s in name_strs]
-    empty_pref_id = pref_ids.get("", -2)
-    lex_bytes = [v.encode() for v in lex_uniq] if has_lit else [b""]
+    # their utf-8 bytes (IRI branch), all as flat byte buffers + offsets.
+    # Prefix/name spaces are deduplicated across all values so the int
+    # lookup keys coincide exactly with string equality classes.
+    val_parts = _utf8_parts(
+        pa.concat_arrays([u.cast(pa.large_string()) for u in uniq])
+        if any(len(u) for u in uniq) else pa.array([], pa.large_string())
+    )
+    pref_of, name_of, pref_parts, name_parts = _split_values(*val_parts, use_prefixes)
+    pref_lens = np.diff(pref_parts[1])
+    empty = np.flatnonzero(pref_lens == 0)
+    empty_pref_id = int(empty[0]) if len(empty) else -2
+    lex_parts = _utf8_parts(lex_uniq) if has_lit else [b""]
 
     # compiled fold (cfold.py): same inputs, same bytes, ~1 C loop instead
     # of ~n Python rows.  Any unavailability/error falls through to the
@@ -342,15 +390,15 @@ def _encode_triples(
                 pg=pg_np,
                 og=og_np,
                 gg=gg_np if emit_g else np.zeros(n, np.int64),
-                pref_of=np.array(pref_of, np.int64),
-                name_of=np.array(name_of, np.int64),
-                val_parts=val_bytes,
-                pref_parts=pref_bytes,
-                name_parts=name_bytes,
+                pref_of=pref_of,
+                name_of=name_of,
+                val_parts=val_parts,
+                pref_parts=pref_parts,
+                name_parts=name_parts,
                 lex_idx=lex_idx_np if has_lit else np.zeros(n, np.int64),
                 lang_idx=lang_idx_np if has_lit else np.full(n, _MISSING, np.int64),
                 dt_idx=dt_idx_np if has_lit else np.full(n, _MISSING, np.int64),
-                lex_parts=lex_bytes,
+                lex_parts=lex_parts,
                 lang_parts=(
                     [v.encode() if v else b"" for v in lang_uniq] if has_lit else []
                 ),
@@ -369,6 +417,12 @@ def _encode_triples(
                 yield out
                 return
 
+    val_bytes = _parts_list(val_parts)
+    pref_bytes = _parts_list(pref_parts)
+    name_bytes = _parts_list(name_parts)
+    lex_bytes = _parts_list(lex_parts) if has_lit else lex_parts
+    pref_of = pref_of.tolist()
+    name_of = name_of.tolist()
     s_ch = s_ch_np.tolist()
     p_ch = p_ch_np.tolist()
     o_ch = o_ch_np.tolist()

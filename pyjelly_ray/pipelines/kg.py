@@ -29,7 +29,8 @@ triple cache a previous run left under ``<out>/state/``
       → narrow                                # K, affected shards, and the
                                               # delta + cached rows to send
       → dedup_and_write_kg_shards(inc_keys=K) # only those rows
-      → rewrite the changed cache shards, persist_state, cache.json
+      → cache: rewrite re-keyed shards,       # the others only gain a
+        persist_state, cache.json             # file of delta rows
 """
 
 from __future__ import annotations
@@ -507,6 +508,8 @@ def incremental_build_kg(
     """
     import os
 
+    import numpy as np
+    import pyarrow as pa
     import ray
 
     from ..sinks.jelly_sink import (
@@ -572,15 +575,21 @@ def incremental_build_kg(
         nb, add_shard_column(ns, hp), missing,
     )
     rows = []
-    if nar.rows.num_rows:
+    if nar.rows.num_rows or nar.settled.num_rows:
         # the exchange's map pass tags each row kin = (key ∈ K); the writer
         # skips an affected shard whose group has no tagged row and the row
-        # count its manifest records
+        # count its manifest records.  Settled winners go straight to their
+        # shard's writer: nothing else can share their keys.
+        shard = nar.settled.column("shard").to_numpy()
+        settled = {
+            int(s): ray.put(nar.settled.filter(pa.array(shard == s)))
+            for s in np.unique(shard)
+        }
         rows = dedup_and_write_kg_shards(
             ray.data.from_arrow(nar.rows), out_dir, n_shards=n_shards,
             options=jelly_options, repo_counts=repo_counts,
             pre_map=make_linker_task(ray.put(new_index)),
-            inc_keys=ray.put(nar.keys),
+            inc_keys=ray.put(nar.keys), settled=settled,
         ).take_all()
     written = sum(1 for r in rows if r["status"] == "written")
     live = {f"{s:05d}" for s in set(nar.live) - set(nar.affected)}
@@ -589,6 +598,8 @@ def incremental_build_kg(
     inc.drop_cache_manifest(out_dir)
     for shard, table in nar.cache.items():
         inc.replace_cache_shard(out_dir, shard, table)
+    for shard, table in nar.appended.items():
+        inc.append_cache_shard(out_dir, shard, table)
     inc.persist_state(out_dir, sym_table, registry, plan_dict)
     inc.write_cache_manifest(out_dir, plan_dict, cached.num_rows + delta.num_rows)
     return {

@@ -522,6 +522,7 @@ def dedup_and_write_kg_shards(
     repo_counts: dict[str, int] | None = None,
     pre_map=None,
     inc_keys=None,
+    settled=None,
 ):
     """Fused sink: exact dedup + repo-sharded Jelly write as ONE two-hop
     raw-task exchange (state/exchange.py) instead of two chained Ray sort
@@ -533,7 +534,15 @@ def dedup_and_write_kg_shards(
            second full dataset copy in the object store
     hop 1: per-bucket global dedup → assign (salted, dense) shard ids
     hop 2: per-shard sorted sequential Jelly encode + manifest/resume
+
+    ``settled`` (incremental rebuild, with ``inc_keys``): shard id → rows
+    (a table or ref, with a ``shard`` column) whose statement keys are
+    outside K and already won their dedup, so no other row can share one.
+    They skip the map side and hop 1 and join their shard's writer, linked
+    by ``pre_map`` and tagged ``kin = False``.
     """
+    import numpy as np
+
     from ..stages.dedup import add_tkey, dedup_block
     from ..state.exchange import fused_two_hop_exchange
 
@@ -580,6 +589,15 @@ def dedup_and_write_kg_shards(
         drop = [c for c in ("h1", "h2", "bucket") if c in t.column_names]
         return t.drop_columns(drop) if drop else t
 
+    def settle(t: pa.Table) -> pa.Table:
+        shard = t.column("shard")
+        t = t.drop_columns([c for c in ("h1", "h2", "shard") if c in t.column_names])
+        if pre_map is not None:
+            t = pre_map(t)
+        if inc_keys is not None:
+            t = t.append_column("kin", pa.array(np.zeros(t.num_rows, bool)))
+        return t.append_column("shard", shard)
+
     return fused_two_hop_exchange(
         ds,
         key1_col="bucket",
@@ -589,6 +607,8 @@ def dedup_and_write_kg_shards(
         n2=n_total,
         reduce2=writer,
         map_fn=key_map,
+        direct2={q: [rows] for q, rows in (settled or {}).items()},
+        direct_fn=settle,
     )
 
 

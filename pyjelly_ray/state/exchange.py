@@ -114,6 +114,8 @@ def fused_two_hop_exchange(
     n2: int,
     reduce2: Callable[[pa.Table], pa.Table],
     map_fn: Callable[[pa.Table], pa.Table] | None = None,
+    direct2: dict[int, list] | None = None,
+    direct_fn: Callable[[pa.Table], pa.Table] | None = None,
 ):
     """TWO all-to-alls fused into one raw-task DAG (dedup hop → writer hop).
 
@@ -143,6 +145,11 @@ def fused_two_hop_exchange(
     fusing the last narrow transform (e.g. link + key + local pre-dedup)
     into the exchange avoids materializing that transform's output as a
     second full copy of the dataset in the object store.
+
+    ``direct2`` (optional) maps a hop-2 partition to blocks (tables or
+    refs) already known to belong to it and to need no hop-1 reduce: they
+    skip the map side and hop 1, and join that partition's hop-2 input
+    after ``direct_fn``, which must give them ``reduce1``'s output schema.
     """
     import ray
 
@@ -164,9 +171,11 @@ def fused_two_hop_exchange(
         _prof("mid", t0, t.num_rows)
         return out
 
-    def _final(*parts: pa.Table):
+    def _final(n_direct: int, *parts: pa.Table):
         t0, c0 = time.time(), time.process_time()
         parts = [_as_table(p) for p in parts]
+        if n_direct:
+            parts[-n_direct:] = [direct_fn(p) for p in parts[-n_direct:]]
         tables = [p for p in parts if p.num_rows]
         t = pa.concat_tables(tables, promote_options="default") if tables else parts[0]
         out = reduce2(t)
@@ -184,7 +193,8 @@ def fused_two_hop_exchange(
     # are metadata lookups.
     t0 = time.time()
     block_refs = ds.materialize().to_arrow_refs()
-    if not block_refs:
+    direct2 = direct2 or {}
+    if not block_refs and not direct2:
         return ds
     _prof("drv_materialize", t0, len(block_refs))
     t0 = time.time()
@@ -196,13 +206,17 @@ def fused_two_hop_exchange(
         for p, r in enumerate(outs):
             per_bucket[p].append(r)
     per_shard: list[list] = [[] for _ in range(n2)]
-    for parts in per_bucket:
+    for parts in per_bucket if block_refs else ():
         outs = mid.remote(n2, key2_col, *parts)
         if n2 == 1:
             outs = [outs]
         for q, r in enumerate(outs):
             per_shard[q].append(r)
-    out_refs = [final.remote(*parts) for parts in per_shard]
+    out_refs = [
+        final.remote(len(direct2.get(q, ())), *parts, *direct2.get(q, ()))
+        for q, parts in enumerate(per_shard)
+        if parts or q in direct2
+    ]
     _prof("drv_submit", t0, len(out_refs))
     t0 = time.time()
     out = ray.data.from_arrow_refs(out_refs)

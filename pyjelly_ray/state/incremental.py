@@ -56,8 +56,14 @@ So with K = { old and new statement keys of class-(1)/(2) rows }:
   key's winner re-links away), which is why the cache stores the
   pre-dedup rows, not the output.
 
-Inside the exchange each row is tagged ``kin = key ∈ K`` on the map side,
-and the writer skips the sort, fingerprint and encode of an affected shard
+Only the rows whose key is in K (the delta rows and the kin cached rows)
+need the exchange's dedup.  The unchanged winners of the affected shards
+are *settled*: no row sent through the dedup can share their keys, so
+they go straight to their shard's writer (``dedup_and_write_kg_shards``'s
+``settled`` input), and an affected shard costs its encode, not a pass of
+all its rows through both hops.  Inside the exchange each row is tagged
+``kin = key ∈ K`` on the map side (settled rows carry ``kin = False``), and
+the writer skips the sort, fingerprint and encode of an affected shard
 group that has no tagged row and the row count its manifest records.
 
 Modified/removed files, two corpus rows for one ``(repo, path)`` (the
@@ -233,6 +239,15 @@ def write_cache_shard(out_dir: str, shard: int, rows: pa.Table, name: str) -> No
 def replace_cache_shard(out_dir: str, shard: int, rows: pa.Table) -> None:
     shutil.rmtree(_cache_shard_dir(out_dir, shard), ignore_errors=True)
     write_cache_shard(out_dir, shard, rows, "b00000")
+
+
+def append_cache_shard(out_dir: str, shard: int, rows: pa.Table) -> None:
+    """Add ``rows`` to a cache shard as one more file next to its others."""
+    d = _cache_shard_dir(out_dir, shard)
+    k = len(glob.glob(os.path.join(d, "*.parquet")))
+    while os.path.exists(os.path.join(d, f"d{k:05d}.parquet")):
+        k += 1
+    write_cache_shard(out_dir, shard, rows, f"d{k:05d}")
 
 
 # ------------------------------------------------------------------ deltas
@@ -426,8 +441,10 @@ class Narrowing:
     keys: np.ndarray  #: K, packed (h1, h2) statement keys, sorted
     affected: list[int]  #: shards to rebuild
     live: list[int]  #: shards that held a winning row before the delta
-    rows: pa.Table  #: unlinked rows the affected shards are rebuilt from
-    cache: dict[int, pa.Table]  #: new cache content of the shards that changed
+    rows: pa.Table  #: unlinked rows whose dedup the affected shards redo
+    settled: pa.Table  #: cached rows there that won a key outside K (cache schema)
+    cache: dict[int, pa.Table]  #: new content of the cache shards a row of was re-keyed in
+    appended: dict[int, pa.Table]  #: delta rows to add to the other cache shards
 
 
 def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
@@ -473,8 +490,9 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
         set(fresh_shard.tolist()) | set(shard[kin].tolist())
         | {s for s in live if missing(s)}
     )
-    take = np.isin(shard, affected) & (kin | won)
-    rows = pa.concat_tables([delta, cached.filter(pa.array(take)).select(cols)])
+    there = np.isin(shard, affected)
+    rows = pa.concat_tables([delta, cached.filter(pa.array(there & kin)).select(cols)])
+    settled = cached.filter(pa.array(there & won & ~kin))
 
     if relinked is not None:
         idx = np.flatnonzero(hit)
@@ -482,12 +500,20 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
             v = _np(cached.column(c)).copy()
             v[idx] = _np(relinked.column(c))
             cached = cached.set_column(cached.schema.get_field_index(c), c, pa.array(v))
+    # a cache shard is rewritten only where a cached row was re-keyed; the
+    # others keep their files and gain one file of delta rows, so the cache
+    # write costs the delta, not the size of the shards it lands in
+    rekeyed = set(shard[hit].tolist())
     cache = {
         s: pa.concat_tables([cached.filter(pa.array(shard == s)),
                              fresh.filter(pa.array(fresh_shard == s))])
-        for s in sorted(set(fresh_shard.tolist()) | set(shard[hit].tolist()))
+        for s in sorted(rekeyed)
     }
-    return Narrowing(keys, affected, live, rows, cache)
+    appended = {
+        s: fresh.filter(pa.array(fresh_shard == s))
+        for s in sorted(set(fresh_shard.tolist()) - rekeyed)
+    }
+    return Narrowing(keys, affected, live, rows, settled, cache, appended)
 
 
 def write_triple_cache(triples_ds, out_dir: str, sym_ref, n_buckets: int,

@@ -129,6 +129,24 @@ def test_fast_empty_table() -> None:
     assert fast_bytes(t, StreamOptions()) == slow_bytes(t, StreamOptions())
 
 
+def test_iri_split_on_bytes_matches_split_iri() -> None:
+    """The encoder splits every unique value's UTF-8 bytes at once; each
+    cut must be ``split_iri``'s, and equal prefixes/names share one id."""
+    from pyjelly_ray.jelly.encode import split_iri
+    from pyjelly_ray.jelly.encode_fast import _parts_list, _split_values, _utf8_parts
+
+    vals = ["http://a/b#c", "http://a/b#c/d", "urn:x", "", "#", "/", "a/", "a#",
+            "http://\u00fc/\u00f1#\u00e9/x", "x#y#z", "a/b/c", "http://a/b#", "a/b\nc/d"]
+    data, off = _utf8_parts(pa.array(vals, pa.string()))
+    for use_prefixes in (True, False):
+        pref_of, name_of, pref, name = _split_values(data, off, use_prefixes)
+        prefs, names = _parts_list(pref), _parts_list(name)
+        assert len(set(prefs)) == len(prefs) and len(set(names)) == len(names)
+        for v, p, n in zip(vals, pref_of.tolist(), name_of.tolist()):
+            want = split_iri(v) if use_prefixes else ("", v)
+            assert (prefs[p].decode(), names[n].decode()) == want
+
+
 def test_fast_declines_unsupported() -> None:
     from pyjelly_ray.sinks.jelly_sink import flat_quads_options
 

@@ -374,15 +374,23 @@ def _oracle(assign, old_files, delta_files):
     def deduped(rows):
         return assign(dedup_block(add_tkey(_link_batch(new_index, rows), N_BUCKETS)))
 
-    full, got = deduped(every), deduped(nar.rows)
+    # settled winners skip the dedup: none may share a key with K, and the
+    # narrowed input is the exchanged rows plus them
+    assert not inc.kin_mask(nar.settled, nar.keys).any()
+    cols = nar.rows.column_names
+    full, got = deduped(every), deduped(pa.concat_tables([nar.rows, nar.settled.select(cols)]))
     assert set(got.column("shard").to_pylist()) <= set(nar.affected)
     assert _rows_by_shard(got, nar.affected) == _rows_by_shard(full, nar.affected)
     unaffected = full.filter(pa.array(~np.isin(full.column("shard").to_numpy(), nar.affected)))
     assert not inc.kin_mask(unaffected, nar.keys).any()
-    # the rewritten cache shards hold every row of theirs, keyed anew
+    # the rewritten cache shards hold every row of theirs, keyed anew; an
+    # appended one holds its cached rows plus the appended delta rows
     recached = inc.cache_rows(every, functools.partial(_link_batch, new_index), N_BUCKETS, assign)
     for shard, table in nar.cache.items():
         assert _rows_by_shard(table, [shard]) == _rows_by_shard(recached, [shard])
+    for shard, table in nar.appended.items():
+        grown = pa.concat_tables([cached, table])
+        assert _rows_by_shard(grown, [shard]) == _rows_by_shard(recached, [shard])
     return nar, full
 
 

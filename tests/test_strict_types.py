@@ -42,8 +42,9 @@ EVER_DRIFTED = [
     "q_events_purchase_sprt", "q_daily_revenue_lomb_scargle",
 ]
 
-# a fixed slice of the never-drifted queries (the 2026-10-17 rotating
-# sample) — permanent members, so every day's run has these test ids
+# a fixed slice of the never-drifted queries (the 2026-10-17 and
+# 2026-10-19 rotating samples) — permanent members, so every day's run
+# has these test ids
 FIXED_SAMPLE = [
     "q1_pricing_summary", "q_brand_price_elasticity", "q_click_period_kappa",
     "q_daily_revenue_biweight_location", "q_daily_revenue_matrix_profile",
@@ -51,6 +52,12 @@ FIXED_SAMPLE = [
     "q_event_next_type_accuracy", "q_lang_hill_numbers", "q_lang_mixing_weights",
     "q_nation_spend_hhi", "q_order_global_rank", "q_order_rollup",
     "q_user_sessions",
+    "q_benford_totalprice", "q_customer_order_interarrival",
+    "q_customer_order_window", "q_customers_high_value_semi",
+    "q_daily_revenue_cox_stuart", "q_daily_revenue_siegel_slope",
+    "q_doc_dedup_stats", "q_doc_source_lang_mix", "q_events_lateness_watermark",
+    "q_price_kfold_cv", "q_price_weighted_quantiles", "q_priority_size_somers_d",
+    "q_source_burrows_delta", "q_user_day_streaks", "q_weekend_value_fdr",
 ]
 
 SAMPLE_SIZE = 15

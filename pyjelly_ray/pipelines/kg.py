@@ -26,9 +26,10 @@ triple cache a previous run left under ``<out>/state/``
       → registry_delta                        # add-only, or a full build
       → _merged_stats                         # old symbols + cached repo
                                               # counts + the delta's stats
-      → narrow                                # K, affected shards, and the
-                                              # delta + cached rows to send
-      → dedup_and_write_kg_shards(inc_keys=K) # only those rows
+      → narrow                                # K, affected shards and each
+                                              # one's deduped, kin-tagged rows
+      → one task per affected shard           # link + ShardJellyWriter; an
+                                              # emptied shard's files deleted
       → cache: rewrite re-keyed shards,       # the others only gain a
         persist_state, cache.json             # file of delta rows
 """
@@ -493,9 +494,9 @@ def incremental_build_kg(
     over the corpus hashes every file and extracts only the added ones;
     the symbol table and repo counts are merged with the saved state, and
     :func:`~pyjelly_ray.state.incremental.narrow` picks the shards that can
-    change and the delta and cached rows they are rebuilt from.  Only
-    those rows cross the fused exchange; every other shard's files,
-    manifest and cache are left untouched on disk.  Anything the proof
+    change and dedups their new rows on the driver.  One task per affected
+    shard links and writes its rows (no exchange); every other shard's
+    files, manifest and cache are left untouched on disk.  Anything the proof
     can't cover (first build, modified/removed files, plan or options
     drift, a missing or stale triple cache) falls back to a full build,
     which also writes a fresh triple cache.
@@ -508,11 +509,10 @@ def incremental_build_kg(
     """
     import os
 
-    import numpy as np
-    import pyarrow as pa
     import ray
 
     from ..sinks.jelly_sink import (
+        ShardJellyWriter,
         add_shard_column,
         compute_shard_plan,
         dedup_and_write_kg_shards,
@@ -563,10 +563,13 @@ def incremental_build_kg(
     if plan_dict != old_plan:
         return full("shard plan changed")
 
-    def missing(shard: int) -> bool:
+    def shard_files(shard: int) -> tuple[str, str]:
         name = f"part-{shard:05d}"
-        return not (os.path.exists(os.path.join(out_dir, name + ".jelly"))
-                    and os.path.exists(os.path.join(out_dir, "manifests", name + ".json")))
+        return (os.path.join(out_dir, name + ".jelly"),
+                os.path.join(out_dir, "manifests", name + ".json"))
+
+    def missing(shard: int) -> bool:
+        return not all(map(os.path.exists, shard_files(shard)))
 
     changed_names = inc.symbol_delta(old_sym, sym_table)
     new_index = prepare_link_index(sym_table)
@@ -574,23 +577,22 @@ def incremental_build_kg(
         cached, delta, prepare_link_index(old_sym), new_index, changed_names,
         nb, add_shard_column(ns, hp), missing,
     )
-    rows = []
-    if nar.rows.num_rows or nar.settled.num_rows:
-        # the exchange's map pass tags each row kin = (key ∈ K); the writer
-        # skips an affected shard whose group has no tagged row and the row
-        # count its manifest records.  Settled winners go straight to their
-        # shard's writer: nothing else can share their keys.
-        shard = nar.settled.column("shard").to_numpy()
-        settled = {
-            int(s): ray.put(nar.settled.filter(pa.array(shard == s)))
-            for s in np.unique(shard)
-        }
-        rows = dedup_and_write_kg_shards(
-            ray.data.from_arrow(nar.rows), out_dir, n_shards=n_shards,
-            options=jelly_options, repo_counts=repo_counts,
-            pre_map=make_linker_task(ray.put(new_index)),
-            inc_keys=ray.put(nar.keys), settled=settled,
-        ).take_all()
+    # one task per affected shard writes its finished group; the writer
+    # skips a group with no kin row and the row count its manifest records
+    link = make_linker_task(ray.put(new_index))
+    writer = ShardJellyWriter(out_dir, jelly_options)
+
+    def write(group):
+        return writer(link(group).drop_columns(["h1", "h2"]))
+
+    task = ray.remote(write)
+    refs = [task.remote(g) for g in nar.groups.values() if g.num_rows]
+    rows = [r for t in ray.get(refs) for r in t.to_pylist()]
+    for shard, group in nar.groups.items():
+        if not group.num_rows:  # every row lost its key to another shard
+            for path in shard_files(shard):
+                if os.path.exists(path):
+                    os.remove(path)
     written = sum(1 for r in rows if r["status"] == "written")
     live = {f"{s:05d}" for s in set(nar.live) - set(nar.affected)}
     live |= {r["shard"] for r in rows}

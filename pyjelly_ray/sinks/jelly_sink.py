@@ -272,6 +272,22 @@ class ShardJellyWriter:
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
 
+    @staticmethod
+    def _skip(manifest_path: str, prev: dict, fingerprint: str) -> pa.Table:
+        """Report an unchanged shard as skipped.  Equal rows guarantee
+        identical BYTES, but the contributing source-file set (sha256_xor)
+        can still differ (e.g. comment-only edits that extract to the same
+        statements), so it is refreshed on disk: a stale one would make
+        pending_shards() report this shard pending forever.  The on-disk
+        status stays as it was; the returned row says "skipped"."""
+        if prev.get("sha256_xor") != fingerprint:
+            tmp = manifest_path + ".tmp"
+            with open(tmp, "w") as f:
+                json.dump({**prev, "sha256_xor": fingerprint}, f)
+            os.replace(tmp, manifest_path)
+        row = {**prev, "sha256_xor": fingerprint, "status": "skipped"}
+        return pa.Table.from_pylist([row], schema=MANIFEST_SCHEMA)
+
     def __call__(self, group: pa.Table) -> pa.Table:
         import time as _time
 
@@ -286,47 +302,14 @@ class ShardJellyWriter:
         if "kin" in group.column_names:
             kin_any = pc.any(group.column("kin")).as_py()
             group = group.drop_columns(["kin"])
-        if kin_any is False:
-            # incremental-rebuild proof: no row's statement key is in the
-            # delta set K ⇒ this shard's row multiset (and so its bytes) is
-            # unchanged — skip the sort AND the fingerprint, not just the
-            # encode.  Guarded by the row-count invariant; any mismatch
-            # falls through to the normal path (where row_xor still rules).
-            mp = os.path.join(self.out_dir, "manifests", f"part-{shard}.json")
-            op = os.path.join(self.out_dir, f"part-{shard}.jelly")
-            if os.path.exists(mp) and os.path.exists(op):
-                with open(mp) as f:
-                    prev = json.load(f)
-                if (
-                    prev.get("status") in ("written", "skipped")
-                    and prev.get("n_statements") == group.num_rows
-                ):
-                    shas = (
-                        pc.unique(group.column("content_sha256")).to_pylist()
-                        if "content_sha256" in group.column_names
-                        else []
-                    )
-                    fp = _sha_xor(shas)
-                    if prev.get("sha256_xor") != fp:
-                        # on-disk status convention matches the row_xor skip
-                        # path: keep "written", report "skipped" in-memory
-                        disk = {**prev, "sha256_xor": fp}
-                        tmp = mp + ".tmp"
-                        with open(tmp, "w") as f:
-                            json.dump(disk, f)
-                        os.replace(tmp, mp)
-                    row = {**prev, "sha256_xor": fp, "status": "skipped"}
-                    return pa.Table.from_pylist(
-                        [{k: row.get(k) for k in MANIFEST_SCHEMA.names}],
-                        schema=MANIFEST_SCHEMA,
-                    )
-        t0 = _time.time()
-        order = [c for c in ("repo", "path", "seq") if c in group.column_names]
-        if order:
-            group = _sort_by_ranks(group, order)
-        _prof("w_sort", t0, group.num_rows)
         out_path = os.path.join(self.out_dir, f"part-{shard}.jelly")
         manifest_path = os.path.join(self.out_dir, "manifests", f"part-{shard}.json")
+        prev = None  # the shard's previous manifest, if it still counts this group
+        if os.path.exists(manifest_path) and os.path.exists(out_path):
+            with open(manifest_path) as f:
+                prev = json.load(f)
+            if prev.get("n_statements") != group.num_rows:
+                prev = None
 
         t0 = _time.time()
         shas = (
@@ -335,34 +318,30 @@ class ShardJellyWriter:
             else []
         )
         fingerprint = _sha_xor(shas)  # lineage: which source files fed this shard
+        if (
+            kin_any is False
+            and prev is not None
+            and prev.get("status") in ("written", "skipped")
+        ):
+            # incremental-rebuild proof: no row's statement key is in the
+            # delta set K ⇒ this shard's row multiset (and so its bytes) is
+            # unchanged — skip the sort AND the row fingerprint, not just
+            # the encode.  Guarded by the row-count invariant; any mismatch
+            # falls through to the normal path (where row_xor still rules).
+            return self._skip(manifest_path, prev, fingerprint)
         row_xor = _row_fingerprint(group)  # exact skip key (see docstring)
         _prof("w_fingerprint", t0, group.num_rows)
-
         # resume/incremental: skip shards whose exact row multiset is
         # unchanged (⇒ byte-identical output) — crash resume AND
         # appended-corpus incremental rebuilds both ride this check
-        if os.path.exists(manifest_path):
-            with open(manifest_path) as f:
-                prev = json.load(f)
-            if (
-                prev.get("row_xor") == row_xor
-                and prev.get("n_statements") == group.num_rows
-                and os.path.exists(out_path)
-            ):
-                # refresh lineage on skip: equal row_xor guarantees identical
-                # BYTES, but the contributing source-file set (sha256_xor) can
-                # still differ (e.g. comment-only edits that extract to the
-                # same statements).  A stale sha256_xor would make
-                # pending_shards() report this shard pending forever.
-                if prev.get("sha256_xor") != fingerprint:
-                    disk = {**prev, "sha256_xor": fingerprint}
-                    tmp = manifest_path + ".tmp"
-                    with open(tmp, "w") as f:
-                        json.dump(disk, f)
-                    os.replace(tmp, manifest_path)
-                    prev = disk
-                prev["status"] = "skipped"
-                return pa.Table.from_pylist([prev], schema=MANIFEST_SCHEMA)
+        if prev is not None and prev.get("row_xor") == row_xor:
+            return self._skip(manifest_path, prev, fingerprint)
+
+        t0 = _time.time()
+        order = [c for c in ("repo", "path", "seq") if c in group.column_names]
+        if order:
+            group = _sort_by_ranks(group, order)
+        _prof("w_sort", t0, group.num_rows)
 
         t0 = _time.time()
         n, total = _write_stream_table(out_path, group, self.options)
@@ -522,7 +501,6 @@ def dedup_and_write_kg_shards(
     repo_counts: dict[str, int] | None = None,
     pre_map=None,
     inc_keys=None,
-    settled=None,
 ):
     """Fused sink: exact dedup + repo-sharded Jelly write as ONE two-hop
     raw-task exchange (state/exchange.py) instead of two chained Ray sort
@@ -534,15 +512,7 @@ def dedup_and_write_kg_shards(
            second full dataset copy in the object store
     hop 1: per-bucket global dedup → assign (salted, dense) shard ids
     hop 2: per-shard sorted sequential Jelly encode + manifest/resume
-
-    ``settled`` (incremental rebuild, with ``inc_keys``): shard id → rows
-    (a table or ref, with a ``shard`` column) whose statement keys are
-    outside K and already won their dedup, so no other row can share one.
-    They skip the map side and hop 1 and join their shard's writer, linked
-    by ``pre_map`` and tagged ``kin = False``.
     """
-    import numpy as np
-
     from ..stages.dedup import add_tkey, dedup_block
     from ..state.exchange import fused_two_hop_exchange
 
@@ -589,15 +559,6 @@ def dedup_and_write_kg_shards(
         drop = [c for c in ("h1", "h2", "bucket") if c in t.column_names]
         return t.drop_columns(drop) if drop else t
 
-    def settle(t: pa.Table) -> pa.Table:
-        shard = t.column("shard")
-        t = t.drop_columns([c for c in ("h1", "h2", "shard") if c in t.column_names])
-        if pre_map is not None:
-            t = pre_map(t)
-        if inc_keys is not None:
-            t = t.append_column("kin", pa.array(np.zeros(t.num_rows, bool)))
-        return t.append_column("shard", shard)
-
     return fused_two_hop_exchange(
         ds,
         key1_col="bucket",
@@ -607,8 +568,6 @@ def dedup_and_write_kg_shards(
         n2=n_total,
         reduce2=writer,
         map_fn=key_map,
-        direct2={q: [rows] for q, rows in (settled or {}).items()},
-        direct_fn=settle,
     )
 
 

@@ -73,6 +73,17 @@ def _as_table(p):
     return p[0] if isinstance(p, list) else p
 
 
+def _concat_parts(parts) -> pa.Table:
+    """A partition's input: its non-empty parts concatenated, or, when all
+    are empty, the widest part — an empty input block that skipped the
+    upstream UDFs arrives schema-less, and it may come first."""
+    parts = [_as_table(p) for p in parts]
+    live = [p for p in parts if p.num_rows]
+    if not live:
+        return max(parts, key=lambda p: p.num_columns)
+    return pa.concat_tables(live, promote_options="default")
+
+
 def _split_block(table: pa.Table, n_partitions: int, bucket_col: str) -> list[pa.Table]:
     """One stable argsort + boundary search → P *compact* gathered tables.
 
@@ -114,8 +125,6 @@ def fused_two_hop_exchange(
     n2: int,
     reduce2: Callable[[pa.Table], pa.Table],
     map_fn: Callable[[pa.Table], pa.Table] | None = None,
-    direct2: dict[int, list] | None = None,
-    direct_fn: Callable[[pa.Table], pa.Table] | None = None,
 ):
     """TWO all-to-alls fused into one raw-task DAG (dedup hop → writer hop).
 
@@ -145,11 +154,6 @@ def fused_two_hop_exchange(
     fusing the last narrow transform (e.g. link + key + local pre-dedup)
     into the exchange avoids materializing that transform's output as a
     second full copy of the dataset in the object store.
-
-    ``direct2`` (optional) maps a hop-2 partition to blocks (tables or
-    refs) already known to belong to it and to need no hop-1 reduce: they
-    skip the map side and hop 1, and join that partition's hop-2 input
-    after ``direct_fn``, which must give them ``reduce1``'s output schema.
     """
     import ray
 
@@ -164,20 +168,14 @@ def fused_two_hop_exchange(
 
     def _mid(n2_: int, key2: str, *parts: pa.Table):
         t0 = time.time()
-        parts = [_as_table(p) for p in parts]
-        tables = [p for p in parts if p.num_rows]
-        t = pa.concat_tables(tables, promote_options="default") if tables else parts[0]
+        t = _concat_parts(parts)
         out = _split_block(reduce1(t), n2_, key2)
         _prof("mid", t0, t.num_rows)
         return out
 
-    def _final(n_direct: int, *parts: pa.Table):
+    def _final(*parts: pa.Table):
         t0, c0 = time.time(), time.process_time()
-        parts = [_as_table(p) for p in parts]
-        if n_direct:
-            parts[-n_direct:] = [direct_fn(p) for p in parts[-n_direct:]]
-        tables = [p for p in parts if p.num_rows]
-        t = pa.concat_tables(tables, promote_options="default") if tables else parts[0]
+        t = _concat_parts(parts)
         out = reduce2(t)
         _prof("final", t0, t.num_rows, c0)
         return out
@@ -193,8 +191,7 @@ def fused_two_hop_exchange(
     # are metadata lookups.
     t0 = time.time()
     block_refs = ds.materialize().to_arrow_refs()
-    direct2 = direct2 or {}
-    if not block_refs and not direct2:
+    if not block_refs:
         return ds
     _prof("drv_materialize", t0, len(block_refs))
     t0 = time.time()
@@ -206,17 +203,13 @@ def fused_two_hop_exchange(
         for p, r in enumerate(outs):
             per_bucket[p].append(r)
     per_shard: list[list] = [[] for _ in range(n2)]
-    for parts in per_bucket if block_refs else ():
+    for parts in per_bucket:
         outs = mid.remote(n2, key2_col, *parts)
         if n2 == 1:
             outs = [outs]
         for q, r in enumerate(outs):
             per_shard[q].append(r)
-    out_refs = [
-        final.remote(len(direct2.get(q, ())), *parts, *direct2.get(q, ()))
-        for q, parts in enumerate(per_shard)
-        if parts or q in direct2
-    ]
+    out_refs = [final.remote(*parts) for parts in per_shard]
     _prof("drv_submit", t0, len(out_refs))
     t0 = time.time()
     out = ray.data.from_arrow_refs(out_refs)
@@ -246,15 +239,7 @@ def hash_exchange_pair(
     split = ray.remote(num_returns=n_partitions)(_split_block)
 
     def _reduce(n_left: int, *parts: pa.Table):
-        parts = [_as_table(p) for p in parts]
-
-        def _concat(ps):
-            live = [p for p in ps if p.num_rows]
-            if not live:
-                return max(ps, key=lambda p: p.num_columns)
-            return pa.concat_tables(live, promote_options="default")
-
-        return reduce_fn(_concat(parts[:n_left]), _concat(parts[n_left:]))
+        return reduce_fn(_concat_parts(parts[:n_left]), _concat_parts(parts[n_left:]))
 
     reduce_remote = ray.remote(_reduce)
 

@@ -46,25 +46,25 @@ So with K = { old and new statement keys of class-(1)/(2) rows }:
   and its part file or manifest is missing.  Every row whose key is in K,
   old or new, sits in an affected shard, so an unaffected shard holds only
   keys outside K: its winners, and so its bytes, do not change.
-- An affected shard's new rows are the winners of keys in K (all of whose
-  rows are sent: the delta rows and the affected shards' cached rows with
-  a key in K) plus the unchanged winners of keys outside K (the cached rows
-  that won before, recomputed from the cached keys with ``dedup_block``'s
-  min-``(repo, path, seq)`` rule).  Running the exchange's dedup on those
-  rows alone therefore gives exactly a full dedup restricted to the
-  affected shards.  A loser of today can be the winner of tomorrow (its
-  key's winner re-links away), which is why the cache stores the
-  pre-dedup rows, not the output.
+- An affected shard's new rows are the winners of keys in K plus the
+  unchanged winners of keys outside K.  Every row with a key in K, old or
+  new, is at hand on the driver (the delta rows and the kin cached rows,
+  re-keyed), so their winners are recomputed there with ``dedup_block``'s
+  min-``(repo, path, seq)`` rule (:func:`winner_mask`); the winners of
+  keys outside K are the cached rows that won before (*standing*).  The
+  two together are exactly a full dedup restricted to the affected
+  shards.  A loser of today can be the winner of tomorrow (its key's
+  winner re-links away), which is why the cache stores the pre-dedup
+  rows, not the output.
 
-Only the rows whose key is in K (the delta rows and the kin cached rows)
-need the exchange's dedup.  The unchanged winners of the affected shards
-are *settled*: no row sent through the dedup can share their keys, so
-they go straight to their shard's writer (``dedup_and_write_kg_shards``'s
-``settled`` input), and an affected shard costs its encode, not a pass of
-all its rows through both hops.  Inside the exchange each row is tagged
-``kin = key ∈ K`` on the map side (settled rows carry ``kin = False``), and
-the writer skips the sort, fingerprint and encode of an affected shard
-group that has no tagged row and the row count its manifest records.
+:func:`narrow` therefore returns each affected shard's finished group,
+and the rebuild writes it with one task per shard (link, then
+``ShardJellyWriter``): no row crosses an exchange.  A group's rows are
+tagged ``kin = key ∈ K``; the writer skips the sort, fingerprint and
+encode of a group with no kin row and the row count its manifest records.
+A group can be empty: every statement of a live shard can lose its key to
+a delta row elsewhere.  Its part file and manifest are then deleted, as a
+cold build writes no such shard.
 
 Modified/removed files, two corpus rows for one ``(repo, path)`` (the
 second copy of a registered file would go unextracted and uncounted), a
@@ -441,8 +441,8 @@ class Narrowing:
     keys: np.ndarray  #: K, packed (h1, h2) statement keys, sorted
     affected: list[int]  #: shards to rebuild
     live: list[int]  #: shards that held a winning row before the delta
-    rows: pa.Table  #: unlinked rows whose dedup the affected shards redo
-    settled: pa.Table  #: cached rows there that won a key outside K (cache schema)
+    #: affected shard → its new rows (cache schema, unlinked) plus ``kin``
+    groups: dict[int, pa.Table]
     cache: dict[int, pa.Table]  #: new content of the cache shards a row of was re-keyed in
     appended: dict[int, pa.Table]  #: delta rows to add to the other cache shards
 
@@ -490,9 +490,6 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
         set(fresh_shard.tolist()) | set(shard[kin].tolist())
         | {s for s in live if missing(s)}
     )
-    there = np.isin(shard, affected)
-    rows = pa.concat_tables([delta, cached.filter(pa.array(there & kin)).select(cols)])
-    settled = cached.filter(pa.array(there & won & ~kin))
 
     if relinked is not None:
         idx = np.flatnonzero(hit)
@@ -500,6 +497,17 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
             v = _np(cached.column(c)).copy()
             v[idx] = _np(relinked.column(c))
             cached = cached.set_column(cached.schema.get_field_index(c), c, pa.array(v))
+    # every row with a key in K (all in affected shards) contests it; the
+    # other winners of the affected shards stand
+    contested = pa.concat_tables([fresh, cached.filter(pa.array(kin))])
+    contested = contested.filter(pa.array(winner_mask(contested)))
+    standing = cached.filter(pa.array(np.isin(shard, affected) & won & ~kin))
+    tagged = pa.concat_tables([
+        t.append_column("kin", pa.array(np.full(t.num_rows, flag)))
+        for t, flag in ((contested, True), (standing, False))
+    ])
+    tagged_shard = _np(tagged.column("shard"))
+    groups = {s: tagged.filter(pa.array(tagged_shard == s)) for s in affected}
     # a cache shard is rewritten only where a cached row was re-keyed; the
     # others keep their files and gain one file of delta rows, so the cache
     # write costs the delta, not the size of the shards it lands in
@@ -513,7 +521,7 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
         s: fresh.filter(pa.array(fresh_shard == s))
         for s in sorted(set(fresh_shard.tolist()) - rekeyed)
     }
-    return Narrowing(keys, affected, live, rows, settled, cache, appended)
+    return Narrowing(keys, affected, live, groups, cache, appended)
 
 
 def write_triple_cache(triples_ds, out_dir: str, sym_ref, n_buckets: int,

@@ -161,43 +161,26 @@ def test_hash_exchange_preserves_rows(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-@pytest.mark.parametrize("n_exchanged", [300, 0])
-def test_fused_exchange_direct_blocks_join_their_partition(ray_session, n_exchanged):
-    """``direct2`` blocks skip the map side and hop 1, reach only their own
-    hop-2 partition after ``direct_fn``, and sit beside the rows that went
-    through both hops — also when no row goes through them."""
+def test_fused_exchange_schemaless_first_block(ray_session):
+    """A bucket that gets no rows still reduces on a part with the input's
+    schema when the first input block is empty and schema-less (a tiny
+    corpus read into more blocks than it has rows)."""
     import ray
 
     from pyjelly_ray.state.exchange import fused_two_hop_exchange
 
-    t = _random_table(71, 300, 20, with_nulls=False).slice(0, n_exchanged)
-    t = t.append_column("b", pa.array(t.column("ik").to_numpy() % 3, pa.int32()))
-
-    def tag(part: pa.Table, src: str) -> pa.Table:
-        q = pa.array(part.column("ik").to_numpy() % 4, pa.int32())
-        return part.select(["ik", "v"]).append_column("q", q).append_column(
-            "src", pa.array([src] * part.num_rows, pa.string()))
+    t = pa.table({"ik": pa.array([0, 2, 5], pa.int64()), "b": pa.array([0, 0, 0], pa.int32())})
 
     def reduce1(part: pa.Table) -> pa.Table:
-        if "ik" not in part.column_names:  # schema-less empty block
-            part = pa.table({"ik": pa.array([], pa.int64()), "v": pa.array([], pa.float64())})
-        return tag(part, "hop1")
+        return part.append_column("q", pa.array(part.column("ik").to_numpy() % 2, pa.int32()))
 
-    direct = {q: pa.table({"ik": pa.array([q, q + 4, q + 8], pa.int64()),
-                           "v": pa.array([0.5, 1.5, 2.5])}) for q in (1, 3)}
     got = fused_two_hop_exchange(
-        ray.data.from_arrow(t), key1_col="b", n1=3, reduce1=reduce1,
-        key2_col="q", n2=4, reduce2=lambda part: part,
-        direct2={1: [direct[1]], 3: [ray.put(direct[3])]},
-        direct_fn=lambda part: tag(part, "direct"),
+        ray.data.from_arrow_refs([ray.put(pa.table({})), ray.put(t)]),
+        key1_col="b", n1=2, reduce1=reduce1, key2_col="q", n2=2, reduce2=lambda part: part,
     )
     got = pa.concat_tables([ray.get(r) for r in got.to_arrow_refs()])
-    assert (got.column("ik").to_numpy() % 4 == got.column("q").to_numpy()).all()
-    rows = sorted(zip(*(got.column(c).to_pylist() for c in ("ik", "v", "src"))))
-    want = [(k, v, "hop1") for k, v in zip(t.column("ik").to_pylist(), t.column("v").to_pylist())]
-    want += [(k, v, "direct") for d in direct.values()
-             for k, v in zip(d.column("ik").to_pylist(), d.column("v").to_pylist())]
-    assert rows == sorted(want)
+    assert sorted(zip(got.column("ik").to_pylist(), got.column("q").to_pylist())) == [
+        (0, 0), (2, 0), (5, 1)]
 
 
 def test_grouped_map_matches_ray_groupby(ray_session):

@@ -3,14 +3,15 @@ kg.incremental_build_kg) — r3 stretch #8 / r4 verdict item 3.
 
 The proof obligation: an incremental rebuild over an add-only corpus delta
 must (a) leave provably-unaffected shards' files untouched on disk (their
-mtimes don't change — they never cross the exchange's second hop), and
+mtimes don't change — their writer never runs), and
 (b) produce a directory byte-identical to a full fresh rebuild of the new
 corpus.  Non-add-only deltas, and a missing or stale triple cache, must
 fall back to a full rebuild.
 
-The rebuild extracts only the added files and sends only the affected
-shards' rows through the exchange; the driver-only oracle tests at the
-end check :func:`inc.narrow` against a full dedup on handmade rows."""
+The rebuild extracts only the added files and writes only the affected
+shards, from the groups :func:`inc.narrow` dedups on the driver; the
+driver-only oracle tests at the end check those groups against a full
+dedup on handmade rows."""
 
 from __future__ import annotations
 
@@ -326,18 +327,24 @@ def _files(*specs):
     return extract_batch(ingest_sha256(t))
 
 
-def _salted_plan():
-    """n_shards=2 plus a hot plan that salts ``src/a/m.py`` and ``a/m.py``
-    (both the module ``a.m``) into different shards of the hot repo."""
+def _hot_plan():
+    """A salting plan for ``n_shards=2`` that puts ``src/a/m.py`` and
+    ``a/m.py`` (both the module ``a.m``) in different shards of the hot
+    repo."""
     from pyjelly_ray.sinks.jelly_sink import add_shard_column
 
     probe = pa.table({"repo": [HOT, HOT], "path": ["src/a/m.py", "a/m.py"]})
     for k in range(2, 9):
-        assign = add_shard_column(2, {HOT: (2, k)})
-        a, b = assign(probe).column("shard").to_pylist()
+        a, b = add_shard_column(2, {HOT: (2, k)})(probe).column("shard").to_pylist()
         if a != b:
-            return assign
+            return {HOT: (2, k)}
     raise AssertionError("no split count separates the two paths")
+
+
+def _salted_plan():
+    from pyjelly_ray.sinks.jelly_sink import add_shard_column
+
+    return add_shard_column(2, _hot_plan())
 
 
 def _shard_of(assign, repo, path):
@@ -352,8 +359,9 @@ def _rows_by_shard(t, shards):
 
 
 def _oracle(assign, old_files, delta_files):
-    """Narrow, dedup the narrowed rows, and compare every affected shard
-    with a full dedup of all rows; returns the narrowing and full result."""
+    """Narrow, and compare every affected shard's group with a full dedup
+    of all rows restricted to that shard; returns the narrowing and the
+    full result."""
     from pyjelly_ray.stages.dedup import add_tkey, dedup_block
     from pyjelly_ray.stages.link import (
         _batch_min_by_name,
@@ -371,16 +379,14 @@ def _oracle(assign, old_files, delta_files):
     nar = inc.narrow(cached, delta, old_index, new_index,
                      inc.symbol_delta(old_sym, new_sym), N_BUCKETS, assign)
 
-    def deduped(rows):
-        return assign(dedup_block(add_tkey(_link_batch(new_index, rows), N_BUCKETS)))
-
-    # settled winners skip the dedup: none may share a key with K, and the
-    # narrowed input is the exchanged rows plus them
-    assert not inc.kin_mask(nar.settled, nar.keys).any()
-    cols = nar.rows.column_names
-    full, got = deduped(every), deduped(pa.concat_tables([nar.rows, nar.settled.select(cols)]))
-    assert set(got.column("shard").to_pylist()) <= set(nar.affected)
-    assert _rows_by_shard(got, nar.affected) == _rows_by_shard(full, nar.affected)
+    full = assign(dedup_block(add_tkey(_link_batch(new_index, every), N_BUCKETS)))
+    assert sorted(nar.groups) == nar.affected
+    for shard, group in nar.groups.items():
+        assert set(group.column("shard").to_pylist()) <= {shard}
+        # kin marks exactly the rows whose (new) statement key is in K
+        assert group.column("kin").to_pylist() == inc.kin_mask(group, nar.keys).tolist()
+        linked = _link_batch(new_index, group)
+        assert _rows_by_shard(linked, [shard]) == _rows_by_shard(full, [shard])
     unaffected = full.filter(pa.array(~np.isin(full.column("shard").to_numpy(), nar.affected)))
     assert not inc.kin_mask(unaffected, nar.keys).any()
     # the rewritten cache shards hold every row of theirs, keyed anew; an
@@ -443,3 +449,80 @@ def test_narrow_oracle_delta_beats_cached_winner():
     assert old_shard in nar.affected
     assert not any(r[2] == "src/a/m.py" and r[5].endswith("#definedIn")
                    for r in _rows_by_shard(full, [old_shard]))
+
+
+def test_narrow_oracle_delta_loses_every_statement():
+    """The delta adds ``src/a/m.py`` with the content of the cached
+    ``a/m.py``, which keeps every statement; the delta's shard is affected,
+    but its group holds only its old winners, none of them kin, so the
+    writer may skip it."""
+    assign = _salted_plan()
+    loser_shard = _shard_of(assign, HOT, "src/a/m.py")
+    path = next(f"x{i}.py" for i in range(1000)
+                if _shard_of(assign, HOT, f"x{i}.py") == loser_shard)
+    nar, full = _oracle(
+        assign,
+        [(HOT, "a/m.py", "def f(x):\n    return x\n"),
+         (HOT, path, "def g(x):\n    return x\n")],
+        [(HOT, "src/a/m.py", "def f(x):\n    return x\n")],
+    )
+    group = nar.groups[loser_shard]
+    assert group.num_rows > 0
+    assert set(group.column("path").to_pylist()) == {path}
+    assert not any(group.column("kin").to_pylist())
+
+
+def test_narrow_oracle_emptied_shard():
+    """``src/a/m.py`` is alone in its shard; the delta adds an identical
+    ``a/m.py`` in another shard, which wins every statement, so the old
+    shard's group is empty."""
+    assign = _salted_plan()
+    content = "def f(x):\n    return x\n"
+    nar, full = _oracle(assign, [(HOT, "src/a/m.py", content)], [(HOT, "a/m.py", content)])
+    old_shard = _shard_of(assign, HOT, "src/a/m.py")
+    assert old_shard in nar.live
+    assert nar.groups[old_shard].num_rows == 0
+    assert nar.groups[_shard_of(assign, HOT, "a/m.py")].num_rows > 0
+
+
+def test_incremental_deletes_emptied_shard(ray_session, tmp_path, monkeypatch):
+    """End to end under a fixed salting plan: an added ``a/m.py`` takes
+    every statement of the live shard that held only ``src/a/m.py``.  The
+    rebuild deletes that shard's part file and manifest, and the directory
+    is byte-identical to a cold build, which writes no such shard."""
+    from pyjelly_ray.sinks import jelly_sink
+    from pyjelly_ray.state.manifest import validate_invariants
+
+    plan = _hot_plan()
+    monkeypatch.setattr(jelly_sink, "hot_repo_splits", lambda repo_counts, n_shards: plan)
+    content = "def f(x):\n    return x\n"
+
+    def corpus(name, specs):
+        path = str(tmp_path / name)
+        pq.write_table(pa.table({
+            "repo": [s[0] for s in specs], "path": [s[1] for s in specs],
+            "commit": ["c0"] * len(specs), "lang": ["python"] * len(specs),
+            "content": [s[2] for s in specs],
+        }), path)
+        return path
+
+    old = [(HOT, "src/a/m.py", content), ("lib/r", "lib/h.py", "def helper(x):\n    return x\n")]
+    v1 = corpus("v1.parquet", old)
+    v2 = corpus("v2.parquet", old + [(HOT, "a/m.py", content)])
+    emptied = f"part-{_shard_of(_salted_plan(), HOT, 'src/a/m.py'):05d}"
+    out = str(tmp_path / "kg")
+    ref = str(tmp_path / "kg_ref")
+
+    incremental_build_kg(v1, out, n_shards=2)
+    assert os.path.exists(os.path.join(out, emptied + ".jelly"))
+    r = incremental_build_kg(v2, out, n_shards=2)
+    assert r["mode"] == "incremental", r
+    cold = build_kg(v2, ref, n_shards=2).take_all()
+    assert not os.path.exists(os.path.join(ref, emptied + ".jelly"))
+    assert not os.path.exists(os.path.join(out, emptied + ".jelly"))
+    assert not os.path.exists(os.path.join(out, "manifests", emptied + ".json"))
+    assert _dir_digests(out) == _dir_digests(ref)
+    assert sorted(os.listdir(os.path.join(out, "manifests"))) == sorted(
+        os.listdir(os.path.join(ref, "manifests")))
+    assert r["live_shards"] == sorted(row["shard"] for row in cold)
+    assert validate_invariants(out, decode=True)["ok"]

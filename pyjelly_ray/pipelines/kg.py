@@ -1,5 +1,9 @@
 """End-to-end KG construction pipeline (the flagship, BASELINE.json north_star).
 
+One cold build serves :func:`build_kg` and the full builds of
+:func:`incremental_build_kg`, whose stats scan also collects the file
+registry and whose exchange map tasks also write the triple cache:
+
     read_parquet(corpus)                      # column-pruned, streaming
       → map_batches(ingest_sha256)            # per-row invariant column
       → map_batches(extract_batch)            # stateless fan-out, Arrow
@@ -247,8 +251,7 @@ def _merge_stats(*tables):
     return g.cast(t.schema)
 
 
-def collect_stats(triples_ds, *, use_refs: bool | None = None,
-                  with_registry: bool = False):
+def collect_stats(triples_ds, *, with_registry: bool = False):
     """Single scan → (symbol Arrow table, repo_counts dict[, registry]).
 
     On a MATERIALIZED dataset the scan runs as one raw task per block over
@@ -268,9 +271,7 @@ def collect_stats(triples_ds, *, use_refs: bool | None = None,
     import pyarrow as pa
 
     fn = _stats_batch_reg if with_registry else _stats_batch
-    if use_refs is None:
-        use_refs = triples_ds.__class__.__name__ == "MaterializedDataset"
-    if use_refs:
+    if triples_ds.__class__.__name__ == "MaterializedDataset":
         import ray
 
         stat = ray.remote(fn)
@@ -354,28 +355,49 @@ def build_kg(
       twice (stats, then main chain) and nothing is pinned — use when the
       triple stream would spill (plasma-constrained single node).
     """
+    return _cold_build(corpus_path, out_dir, n_shards, jelly_options,
+                       materialize_triples=materialize_triples)[0]
+
+
+def _cold_build(corpus_path, out_dir, n_shards, jelly_options, *,
+                materialize_triples=True, with_state=False):
+    """:func:`build_kg`'s body, also the full build of :func:`incremental_build_kg`.
+
+    Returns ``(manifest Dataset, state)``.  With ``with_state`` the stats
+    scan also collects the file registry and the exchange's map tasks write
+    a fresh triple cache; ``state`` is then ``(symbol table, repo counts,
+    registry, cached row count)``, else None.
+    """
+    import shutil
+
     import ray
 
     from ..sinks.jelly_sink import dedup_and_write_kg_shards
+    from ..state import incremental as inc
 
-    corpus = read_corpus(corpus_path)
-    triples = extract_triples(corpus)
+    triples = extract_triples(read_corpus(corpus_path))
     if materialize_triples:
         triples = triples.materialize()
-    sym_table, repo_counts = collect_stats(triples)
+    stats = collect_stats(triples, with_registry=with_state)
     # hash-sorted index built ONCE — as a Ray task, so the ~0.6 s build
     # overlaps the exchange launch instead of blocking the driver (the
     # linker tasks ray.get the ref either way; task-output refs and
     # ray.put refs read identically from plasma)
-    sym_ref = ray.remote(prepare_link_index).remote(sym_table)
+    sym_ref = ray.remote(prepare_link_index).remote(stats[0])
+    state = None
+    if with_state:
+        inc.drop_cache_manifest(out_dir)
+        shutil.rmtree(inc.state_paths(out_dir)["triples"], ignore_errors=True)
+        state = (*stats, triples.count())  # every extracted row is cached
     # dedup + shard-write as one two-hop raw-task exchange (no Ray sort
     # shuffles; measured 2.8× faster and non-bimodal — ROADMAP #1).  The
     # linker runs INSIDE the exchange's map tasks (pre_map): the linked+
     # keyed stream is never materialized as a second full plasma copy.
     return dedup_and_write_kg_shards(
         triples, out_dir, n_shards=n_shards, options=jelly_options,
-        repo_counts=repo_counts, pre_map=make_linker_task(sym_ref),
-    )
+        repo_counts=stats[1], pre_map=make_linker_task(sym_ref),
+        write_cache=with_state,
+    ), state
 
 
 def _registry_key(files):
@@ -511,32 +533,20 @@ def incremental_build_kg(
 
     import ray
 
-    from ..sinks.jelly_sink import (
-        ShardJellyWriter,
-        add_shard_column,
-        compute_shard_plan,
-        dedup_and_write_kg_shards,
-    )
+    from ..sinks.jelly_sink import ShardJellyWriter, add_shard_column, compute_shard_plan
     from ..state import incremental as inc
 
     options = jelly_options or StreamOptions()
 
     def full(reason: str) -> dict:
-        inc.drop_cache_manifest(out_dir)
-        triples = extract_triples(read_corpus(corpus_path)).materialize()
-        sym_table, repo_counts, registry = collect_stats(triples, with_registry=True)
-        nb, ns, hp, n_total = plan = compute_shard_plan(repo_counts, n_shards)
-        sym_ref = ray.put(prepare_link_index(sym_table))
-        rows = dedup_and_write_kg_shards(
-            triples, out_dir, n_shards=n_shards, options=jelly_options,
-            repo_counts=repo_counts, pre_map=make_linker_task(sym_ref),
-        ).take_all()
-        n_cached = inc.write_triple_cache(triples, out_dir, sym_ref, nb, ns, hp)
-        plan_dict = _plan_dict(n_shards, plan, options)
+        manifests, (sym_table, repo_counts, registry, n_cached) = _cold_build(
+            corpus_path, out_dir, n_shards, jelly_options, with_state=True)
+        rows = manifests.take_all()
+        plan_dict = _plan_dict(n_shards, compute_shard_plan(repo_counts, n_shards), options)
         inc.persist_state(out_dir, sym_table, registry, plan_dict)
         inc.write_cache_manifest(out_dir, plan_dict, n_cached)
         return {"mode": "full", "reason": reason, "shards_written": len(rows),
-                "n_total": n_total, "files_extracted": registry.num_rows,
+                "n_total": plan_dict["n_total"], "files_extracted": registry.num_rows,
                 "live_shards": sorted(r["shard"] for r in rows)}
 
     state = inc.load_state(out_dir)

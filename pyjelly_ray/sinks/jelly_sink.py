@@ -501,6 +501,7 @@ def dedup_and_write_kg_shards(
     repo_counts: dict[str, int] | None = None,
     pre_map=None,
     inc_keys=None,
+    write_cache: bool = False,
 ):
     """Fused sink: exact dedup + repo-sharded Jelly write as ONE two-hop
     raw-task exchange (state/exchange.py) instead of two chained Ray sort
@@ -512,15 +513,19 @@ def dedup_and_write_kg_shards(
            second full dataset copy in the object store
     hop 1: per-bucket global dedup → assign (salted, dense) shard ids
     hop 2: per-shard sorted sequential Jelly encode + manifest/resume
+
+    With ``write_cache`` each map task also writes its block's pre-dedup
+    rows to the triple cache (``state.incremental.write_block_cache``).
     """
     from ..stages.dedup import add_tkey, dedup_block
     from ..state.exchange import fused_two_hop_exchange
+    from ..state.incremental import write_block_cache
 
     n_buckets, n_shards, hot_plan, n_total = compute_shard_plan(repo_counts, n_shards)
     assign = add_shard_column(n_shards, hot_plan)
     writer = ShardJellyWriter(out_dir, options)
 
-    def key_map(b: pa.Table) -> pa.Table:
+    def key_map(b: pa.Table, i: int) -> pa.Table:
         import time as _time
 
         from ..state.exchange import _prof
@@ -528,6 +533,7 @@ def dedup_and_write_kg_shards(
         if b.num_rows == 0:  # empty blocks can arrive schema-less
             return b
 
+        unlinked = b
         t0, c0 = _time.time(), _time.process_time()
         if pre_map is not None:
             b = pre_map(b)
@@ -535,6 +541,8 @@ def dedup_and_write_kg_shards(
         t0, c0 = _time.time(), _time.process_time()
         b = add_tkey(b, n_buckets)
         _prof("km_tkey", t0, b.num_rows, c0)
+        if write_cache:  # before the local dedup: the cache holds every row
+            write_block_cache(out_dir, unlinked, b, assign, n_total, i)
         if inc_keys is not None:
             # incremental rebuild (state/incremental.py): mark rows whose
             # statement key is in the delta set K — a pure function of the

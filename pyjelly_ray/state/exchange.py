@@ -124,7 +124,7 @@ def fused_two_hop_exchange(
     key2_col: str,
     n2: int,
     reduce2: Callable[[pa.Table], pa.Table],
-    map_fn: Callable[[pa.Table], pa.Table] | None = None,
+    map_fn: Callable[[pa.Table, int], pa.Table] | None = None,
 ):
     """TWO all-to-alls fused into one raw-task DAG (dedup hop → writer hop).
 
@@ -153,14 +153,15 @@ def fused_two_hop_exchange(
     ``map_fn`` (optional) runs inside each map-side task BEFORE the split —
     fusing the last narrow transform (e.g. link + key + local pre-dedup)
     into the exchange avoids materializing that transform's output as a
-    second full copy of the dataset in the object store.
+    second full copy of the dataset in the object store.  It is called as
+    ``map_fn(block, i)``, ``i`` the block's index in ``ds``, which a retry keeps.
     """
     import ray
 
-    def _split1(table: pa.Table, n_: int, key: str):
+    def _split1(table: pa.Table, i: int, n_: int, key: str):
         if map_fn is not None:
             t0, c0 = time.time(), time.process_time()
-            table = map_fn(table)
+            table = map_fn(table, i)
             _prof("map_fused", t0, table.num_rows, c0)
         return _split_block_timed(table, n_, key)
 
@@ -196,8 +197,8 @@ def fused_two_hop_exchange(
     _prof("drv_materialize", t0, len(block_refs))
     t0 = time.time()
     per_bucket: list[list] = [[] for _ in range(n1)]
-    for ref in block_refs:
-        outs = split1.remote(ref, n1, key1_col)
+    for i, ref in enumerate(block_refs):
+        outs = split1.remote(ref, i, n1, key1_col)
         if n1 == 1:
             outs = [outs]
         for p, r in enumerate(outs):

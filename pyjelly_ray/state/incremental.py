@@ -6,11 +6,11 @@ leaves three things next to its shards, under ``<out>/state/``:
 - ``symbols.parquet``, ``files.parquet`` and ``plan.json``
   (:func:`persist_state`): the symbol table, the file registry
   ``(repo, path, content_sha256)`` and the shard plan;
-- ``triples/shard-NNNNN/*.parquet`` (:func:`write_triple_cache`): every
-  PRE-dedup extracted row, grouped by its provenance shard
-  (``add_shard_column`` of the row's own repo and path), unlinked, without
-  ``content``, and with its ``h1``/``h2`` statement key under that build's
-  symbol index;
+- ``triples/shard-NNNNN/*.parquet`` (:func:`write_block_cache`, from the
+  exchange's map tasks): every PRE-dedup extracted row, grouped by its
+  provenance shard (``add_shard_column`` of the row's own repo and path),
+  unlinked, without ``content``, and with its ``h1``/``h2`` statement key
+  under that build's symbol index;
 - ``cache.json`` (:func:`write_cache_manifest`), written last: it binds the
   cache to the code that produces those columns (:func:`code_fingerprint`),
   to the plan, and to the bytes of the ``symbols.parquet``/``files.parquet``
@@ -409,16 +409,27 @@ def _packed(keyed: pa.Table) -> np.ndarray:
     return _pack_keys(_np(keyed.column("h1")), _np(keyed.column("h2")))
 
 
-def cache_rows(rows: pa.Table, link, n_buckets: int, assign) -> pa.Table:
+def cache_rows(rows: pa.Table, keyed: pa.Table, assign) -> pa.Table:
     """Extracted rows as the cache holds them: unlinked, plus the ``h1``/
-    ``h2`` statement key of their LINKED form (``link``) and their
-    provenance ``shard`` (``assign``, an ``add_shard_column`` function)."""
-    from ..stages.dedup import add_tkey
-
+    ``h2`` statement key of ``keyed`` (the same rows, linked and keyed by
+    ``add_tkey``) and their provenance ``shard`` (``assign``, an
+    ``add_shard_column`` function)."""
     rows = rows.select(KG_TRIPLE_SCHEMA.names)
-    keyed = add_tkey(link(rows), n_buckets)
     rows = rows.append_column("h1", keyed.column("h1")).append_column("h2", keyed.column("h2"))
     return assign(rows)
+
+
+def write_block_cache(out_dir: str, block: pa.Table, keyed: pa.Table, assign,
+                      n_total: int, index: int) -> None:
+    """Write :func:`cache_rows` of exchange input block ``index`` to each
+    provenance shard's ``b<index>.parquet``: a retried task rewrites its
+    own files."""
+    from .exchange import _split_block
+
+    rows = cache_rows(block, keyed, assign)
+    for s, part in enumerate(_split_block(rows, n_total, "shard")):
+        if part.num_rows:
+            write_cache_shard(out_dir, s, part, f"b{index:05d}")
 
 
 def winner_mask(keyed: pa.Table) -> np.ndarray:
@@ -453,7 +464,7 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
     """Plan the rebuild of an add-only delta on the driver.
 
     ``cached`` holds the previous build's cache rows (:func:`cache_rows`
-    under ``old_index``); ``delta`` the extracted rows of the added files;
+    keyed under ``old_index``); ``delta`` the extracted rows of the added files;
     ``old_index``/``new_index`` are ``prepare_link_index`` tables of the
     old and new symbol table; ``changed_names`` comes from
     :func:`symbol_delta`; ``assign`` is the plan's ``add_shard_column``
@@ -466,7 +477,7 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
     cols = KG_TRIPLE_SCHEMA.names
     link_new = functools.partial(_link_batch, new_index)
     delta = delta.select(cols)
-    fresh = cache_rows(delta, link_new, n_buckets, assign)
+    fresh = cache_rows(delta, add_tkey(link_new(delta), n_buckets), assign)
     parts = [_packed(fresh)]
     if delta.num_rows:
         parts.append(_packed(add_tkey(_link_batch(old_index, delta), n_buckets)))
@@ -522,34 +533,3 @@ def narrow(cached: pa.Table, delta: pa.Table, old_index: pa.Table,
         for s in sorted(set(fresh_shard.tolist()) - rekeyed)
     }
     return Narrowing(keys, affected, live, groups, cache, appended)
-
-
-def write_triple_cache(triples_ds, out_dir: str, sym_ref, n_buckets: int,
-                       n_shards: int, hot_plan) -> int:
-    """Write a full build's cache from its materialized triple stream: one
-    task per block links and keys it (:func:`cache_rows`) and writes its
-    rows of each provenance shard to ``shard-NNNNN/b<block>.parquet``.
-    Returns the number of cached rows."""
-    import ray
-
-    from ..sinks.jelly_sink import add_shard_column, total_shard_count
-    from ..stages.link import make_linker_task
-    from .exchange import _split_block
-
-    shutil.rmtree(state_paths(out_dir)["triples"], ignore_errors=True)
-    link = make_linker_task(sym_ref)
-    assign = add_shard_column(n_shards, hot_plan)
-    n_total = total_shard_count(n_shards, hot_plan)
-
-    def write_block(block: pa.Table, i: int) -> int:
-        if block.num_rows == 0 or "p_value" not in block.column_names:
-            return 0
-        rows = cache_rows(block, link, n_buckets, assign)
-        for s, part in enumerate(_split_block(rows, n_total, "shard")):
-            if part.num_rows:
-                write_cache_shard(out_dir, s, part, f"b{i:05d}")
-        return rows.num_rows
-
-    task = ray.remote(write_block)
-    refs = [task.remote(r, i) for i, r in enumerate(triples_ds.to_arrow_refs())]
-    return sum(ray.get(refs))

@@ -15,7 +15,6 @@ dedup on handmade rows."""
 
 from __future__ import annotations
 
-import functools
 import glob
 import hashlib
 import json
@@ -309,6 +308,109 @@ def test_incremental_stale_cache_falls_back(ray_session, corpora, cold_v2, tmp_p
     assert again["mode"] == "incremental", again
 
 
+def _corpus_file(path, specs):
+    """Write a corpus of handmade python files ``(repo, path, content)``."""
+    pq.write_table(pa.table({
+        "repo": [s[0] for s in specs], "path": [s[1] for s in specs],
+        "commit": ["c0"] * len(specs), "lang": ["python"] * len(specs),
+        "content": [s[2] for s in specs],
+    }), path)
+    return path
+
+
+def _cached_files(out):
+    return sorted(glob.glob(os.path.join(inc.state_paths(out)["triples"], "shard-*", "*.parquet")))
+
+
+def test_full_build_caches_every_pre_dedup_row(ray_session, tmp_path):
+    """The cache a fallback full build writes from its exchange's map tasks
+    holds, per provenance shard, exactly :func:`inc.cache_rows` of every
+    extracted row under that build's index and plan, duplicates included:
+    ``a/mK.py`` and ``src/a/mK.py`` (both the module ``a.mK``) share every
+    statement, and as adjacent corpus rows most pairs share a block, where
+    the map task's local dedup drops one copy."""
+    from collections import Counter
+
+    from pyjelly_ray.sinks.jelly_sink import add_shard_column
+    from pyjelly_ray.stages.dedup import add_tkey
+    from pyjelly_ray.stages.extract import extract_batch, ingest_sha256
+    from pyjelly_ray.stages.link import _link_batch, prepare_link_index
+
+    specs = []
+    for k in range(12):
+        content = f"import lib{k}\ndef f{k}(x):\n    return helper(x)\n"
+        specs += [(f"org/r{k % 3}", f"a/m{k}.py", content),
+                  (f"org/r{k % 3}", f"src/a/m{k}.py", content)]
+    specs.append(("lib/r", "lib/h.py", "def helper(x):\n    return x\n"))
+    corpus = _corpus_file(str(tmp_path / "dup.parquet"), specs)
+    out = str(tmp_path / "kg")
+    r = incremental_build_kg(corpus, out, n_shards=4)
+    assert r["mode"] == "full", r
+
+    sym, _, plan = inc.load_state(out)
+    assign = add_shard_column(plan["n_shards"], plan["hot_plan"])
+    extracted = extract_batch(ingest_sha256(pq.read_table(corpus)))
+    keyed = add_tkey(_link_batch(prepare_link_index(sym), extracted), plan["n_buckets"])
+    want = inc.cache_rows(extracted, keyed, assign)
+    want_shard = want.column("shard").to_numpy()
+    cols = inc._CACHE_SCHEMA.names
+
+    def rows(t):
+        return Counter(zip(*(t.column(c).to_pylist() for c in cols)))
+
+    dirs = sorted(glob.glob(os.path.join(inc.state_paths(out)["triples"], "shard-*")))
+    assert [int(d[-5:]) for d in dirs] == sorted(set(want_shard.tolist()))
+    for d in dirs:
+        got = pq.ParquetDataset(d).read().cast(inc._CACHE_SCHEMA)
+        assert rows(got) == rows(want.filter(pa.array(want_shard == int(d[-5:])))), d
+    cached, reason = inc.load_cache(out, plan)
+    assert reason is None and cached.num_rows == extracted.num_rows
+
+
+def test_cache_survives_retried_map_tasks_and_an_empty_first_block(ray_session, tmp_path):
+    """A one-file corpus is read into more blocks than it has rows, and the
+    empty ones are schema-less.  Its fallback full build writes one cache
+    file, for the one block with rows, and a cold build's bytes.  Then the
+    exchange runs again over those blocks, empty ones first, and once more,
+    as a retry of every map task would: the block with rows writes the
+    same file under its own index both times, and ``load_cache`` still
+    accepts the cache."""
+    import ray
+
+    from pyjelly_ray.pipelines.kg import collect_stats, extract_triples, read_corpus
+    from pyjelly_ray.sinks.jelly_sink import dedup_and_write_kg_shards
+    from pyjelly_ray.stages.link import make_linker_task, prepare_link_index
+
+    corpus = _corpus_file(str(tmp_path / "one.parquet"),
+                          [("org/r", "a/m.py", "def f(x):\n    return g(x)\n")])
+    out, ref = str(tmp_path / "kg"), str(tmp_path / "kg_ref")
+    r = incremental_build_kg(corpus, out, n_shards=N_SHARDS)
+    assert r["mode"] == "full", r
+    assert len(_cached_files(out)) == 1
+    _consume(build_kg(corpus, ref, n_shards=N_SHARDS))
+    assert _dir_digests(out) == _dir_digests(ref)
+
+    refs = extract_triples(read_corpus(corpus)).materialize().to_arrow_refs()
+    refs.sort(key=lambda b: ray.get(b).num_rows)
+    assert ray.get(refs[0]).num_columns == 0 and ray.get(refs[-2]).num_rows == 0
+    triples = ray.data.from_arrow_refs(refs)
+    sym, _, plan = inc.load_state(out)
+    _, repo_counts = collect_stats(triples)
+    link = make_linker_task(ray.put(prepare_link_index(sym)))
+    shutil.rmtree(inc.state_paths(out)["triples"])
+    runs = []
+    for _ in range(2):
+        dedup_and_write_kg_shards(
+            triples, out, n_shards=N_SHARDS, repo_counts=repo_counts,
+            pre_map=link, write_cache=True,
+        ).take_all()
+        runs.append(_cached_files(out))
+    assert [os.path.basename(f) for f in runs[0]] == [f"b{len(refs) - 1:05d}.parquet"]
+    assert runs[1] == runs[0]
+    cached, reason = inc.load_cache(out, plan)
+    assert reason is None and cached.num_rows == ray.get(refs[-1]).num_rows
+
+
 # ------------------------------------------- narrowing oracle (no Ray)
 
 HOT = "hot/r"
@@ -375,7 +477,7 @@ def _oracle(assign, old_files, delta_files):
     old_sym = _batch_min_by_name(build_symbol_dict_batch(old))
     new_sym = _batch_min_by_name(build_symbol_dict_batch(every))
     old_index, new_index = prepare_link_index(old_sym), prepare_link_index(new_sym)
-    cached = inc.cache_rows(old, functools.partial(_link_batch, old_index), N_BUCKETS, assign)
+    cached = inc.cache_rows(old, add_tkey(_link_batch(old_index, old), N_BUCKETS), assign)
     nar = inc.narrow(cached, delta, old_index, new_index,
                      inc.symbol_delta(old_sym, new_sym), N_BUCKETS, assign)
 
@@ -391,7 +493,7 @@ def _oracle(assign, old_files, delta_files):
     assert not inc.kin_mask(unaffected, nar.keys).any()
     # the rewritten cache shards hold every row of theirs, keyed anew; an
     # appended one holds its cached rows plus the appended delta rows
-    recached = inc.cache_rows(every, functools.partial(_link_batch, new_index), N_BUCKETS, assign)
+    recached = inc.cache_rows(every, add_tkey(_link_batch(new_index, every), N_BUCKETS), assign)
     for shard, table in nar.cache.items():
         assert _rows_by_shard(table, [shard]) == _rows_by_shard(recached, [shard])
     for shard, table in nar.appended.items():
@@ -496,19 +598,9 @@ def test_incremental_deletes_emptied_shard(ray_session, tmp_path, monkeypatch):
     plan = _hot_plan()
     monkeypatch.setattr(jelly_sink, "hot_repo_splits", lambda repo_counts, n_shards: plan)
     content = "def f(x):\n    return x\n"
-
-    def corpus(name, specs):
-        path = str(tmp_path / name)
-        pq.write_table(pa.table({
-            "repo": [s[0] for s in specs], "path": [s[1] for s in specs],
-            "commit": ["c0"] * len(specs), "lang": ["python"] * len(specs),
-            "content": [s[2] for s in specs],
-        }), path)
-        return path
-
     old = [(HOT, "src/a/m.py", content), ("lib/r", "lib/h.py", "def helper(x):\n    return x\n")]
-    v1 = corpus("v1.parquet", old)
-    v2 = corpus("v2.parquet", old + [(HOT, "a/m.py", content)])
+    v1 = _corpus_file(str(tmp_path / "v1.parquet"), old)
+    v2 = _corpus_file(str(tmp_path / "v2.parquet"), old + [(HOT, "a/m.py", content)])
     emptied = f"part-{_shard_of(_salted_plan(), HOT, 'src/a/m.py'):05d}"
     out = str(tmp_path / "kg")
     ref = str(tmp_path / "kg_ref")
